@@ -1,9 +1,9 @@
 """Batch front end: solve, check, verify, export.
 
 Exit codes: 0 success, 1 a requested check or property failed, 2 config
-error, 3 the solver did not converge (artifacts are still written from
-the last good iterate).  STARCURV_SERIAL=1 forces fully serial execution
-for reproducible test runs.
+error, 3 the solver did not converge, a singular Jacobian included
+(artifacts are still written from the last good iterate).  Every command
+runs serially; repeat runs write bitwise-identical artifacts.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (ScalarField, SphereGrid, covariant_jet, d_phi, d_theta,
-                   d2_phi, d2_theta, d_theta_phi)
+from .grid import (CovariantJet, ScalarField, SphereGrid, covariant_jet, d_phi,
+                   d_theta, d2_phi, d2_theta, d_theta_phi)
 from .spaceform import SpaceFormModel
 
 
@@ -77,11 +77,18 @@ def assemble(model: SpaceFormModel, field: ScalarField, order: int = 2) -> Geome
     induced metric fails to be positive definite (a symptom of a broken
     input field, not of an inadmissible but valid geometry).
     """
-    g = field.grid
-    rho = field.values
-    model.check_domain(rho)
-    jet = covariant_jet(field, order=order)
+    model.check_domain(field.values)
+    return pointwise_geometry(model, field.grid, covariant_jet(field, order=order))
 
+
+def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
+                       jet: CovariantJet) -> GeometryState:
+    """The per-node part of assemble: geometry from the jet alone.
+
+    Reads rho only through the jet, node by node, with no stencil and no
+    domain check, so it also accepts perturbed jet components.
+    """
+    rho = jet.value
     phi = np.asarray(model.warp(rho))
     dphi = np.asarray(model.warp_deriv(rho))
     pot = np.asarray(model.warp_integral(rho))

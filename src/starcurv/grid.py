@@ -5,7 +5,8 @@ uniform and periodic.  Values just beyond a pole are obtained from the
 cross-pole chart identification (theta, phi) -> (-theta, phi + pi): ghost
 rows are the first/last interior row rolled by half a turn, with a sign
 flip for tensor components carrying an odd number of theta indices.
-All stencils are second-order centered differences.
+All stencils are second-order centered differences; jet_stencils also
+gives them as sparse matrices, which the solver's Jacobian combines.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 
 class GridError(ValueError):
@@ -203,33 +205,103 @@ class CovariantJet:
     grad_sq: np.ndarray
 
 
-def covariant_jet(field: ScalarField, order: int = 2) -> CovariantJet:
-    """Finite-difference jet of a scalar field, second-order by default.
+def raw_jet(field: ScalarField, order: int = 2) -> tuple:
+    """Raw coordinate partials (f, f_t, f_p, f_tt, f_tp, f_pp) of a scalar
+    field, in the order of JET_COMPONENTS."""
+    g = field.grid
+    v = field.values
+    return (v, d_theta(g, v, order=order), d_phi(g, v, order=order),
+            d2_theta(g, v, order=order), d_theta_phi(g, v, order=order),
+            d2_phi(g, v, order=order))
 
-    The covariant Hessian corrects the raw partials with the sphere
-    Christoffel symbols:
+
+def jet_from_partials(grid: SphereGrid, v, ft, fp, ftt, ftp, fpp) -> CovariantJet:
+    """Covariant jet from raw partials: the sphere Christoffel correction
 
         H_tt = f_tt
         H_tp = f_tp - cot(theta) f_p
         H_pp = f_pp + sin(theta) cos(theta) f_t
 
-    order=4 is reserved for the identity diagnostics (see the stencil
-    notes above); everything the solver touches uses order=2.
+    Pointwise, so it also accepts perturbed partials.
     """
-    g = field.grid
-    v = field.values
-    ft = d_theta(g, v, order=order)
-    fp = d_phi(g, v, order=order)
-    ftt = d2_theta(g, v, order=order)
-    fpp = d2_phi(g, v, order=order)
-    ftp = d_theta_phi(g, v, order=order)
-    st, ct = g.sin_t, g.cos_t
-    hess_tt = ftt
+    st, ct = grid.sin_t, grid.cos_t
     hess_tp = ftp - (ct / st) * fp
     hess_pp = fpp + st * ct * ft
     grad_sq = ft * ft + (fp / st) ** 2
-    return CovariantJet(value=v, d_t=ft, d_p=fp, hess_tt=hess_tt,
+    return CovariantJet(value=v, d_t=ft, d_p=fp, hess_tt=ftt,
                         hess_tp=hess_tp, hess_pp=hess_pp, grad_sq=grad_sq)
+
+
+def covariant_jet(field: ScalarField, order: int = 2) -> CovariantJet:
+    """Finite-difference jet of a scalar field, second-order by default:
+    raw_jet followed by jet_from_partials.
+
+    order=4 is reserved for the identity diagnostics (see the stencil
+    notes above); everything the solver touches uses order=2.
+    """
+    return jet_from_partials(field.grid, *raw_jet(field, order))
+
+
+# ---------------------------------------------------------------------------
+# the order-2 stencils as sparse matrices
+
+JET_COMPONENTS = ("value", "d_t", "d_p", "d_tt", "d_tp", "d_pp")
+
+
+@dataclass(frozen=True, eq=False)
+class JetStencils:
+    """The order-2 jet stencils as one shared 9-point CSR pattern.
+
+    Row (i, j) holds the 3x3 footprint of node (i, j), with the ghost rows
+    beyond a pole mapped back to interior columns by the cross-pole
+    identification.  weights[c], shape (n_nodes, 9), holds the row-wise
+    data of the matrix D_c with D_c @ f.ravel() == the raw partial c of a
+    scalar f (JET_COMPONENTS order), so a linear combination of the D_c
+    is a combination of their weight arrays on the same pattern.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: tuple
+
+    def matrix(self, c: int) -> scipy.sparse.csr_matrix:
+        n = len(self.indptr) - 1
+        return scipy.sparse.csr_matrix((self.weights[c].ravel(), self.indices, self.indptr),
+                                       shape=(n, n))
+
+
+def jet_stencils(grid: SphereGrid) -> JetStencils:
+    """The grid's JetStencils, built on first use and cached on the grid."""
+    cached = getattr(grid, "_stencils", None)
+    if cached is not None:
+        return cached
+    nt, nphi = grid.shape
+    ii, jj = np.meshgrid(np.arange(nt), np.arange(nphi), indexing="ij")
+    cols, w = [], []
+    ht, hp = 1.0 / grid.dtheta, 1.0 / grid.dphi
+    # each component's weight is a product of 1-D centered stencils at (di, dj)
+    i0, d1, d2 = (0.0, 1.0, 0.0), (-0.5, 0.0, 0.5), (1.0, -2.0, 1.0)
+    for di in (-1, 0, 1):
+        rows = ii + di
+        # a ghost row beyond a pole is the boundary row shifted half a turn
+        shift = np.where((rows < 0) | (rows >= nt), nphi // 2, 0)
+        rows = np.clip(rows, 0, nt - 1)
+        for dj in (-1, 0, 1):
+            cols.append(rows * nphi + (jj + dj + shift) % nphi)
+            a, b = di + 1, dj + 1
+            w.append((i0[a] * i0[b], d1[a] * i0[b] * ht, i0[a] * d1[b] * hp,
+                      d2[a] * i0[b] * ht * ht, d1[a] * d1[b] * ht * hp,
+                      i0[a] * d2[b] * hp * hp))
+    cols = np.stack([c.ravel() for c in cols], axis=1)
+    order = np.argsort(cols, axis=1, kind="stable")
+    indices = np.take_along_axis(cols, order, axis=1)
+    weights = tuple(np.take_along_axis(np.broadcast_to(np.array(c), cols.shape),
+                                       order, axis=1)
+                    for c in zip(*w))
+    cached = JetStencils(indptr=np.arange(0, 9 * nt * nphi + 1, 9),
+                         indices=indices.ravel(), weights=weights)
+    object.__setattr__(grid, "_stencils", cached)
+    return cached
 
 
 def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int,

@@ -1,26 +1,25 @@
 """Damped Newton and homotopy continuation for the curvature equation.
 
 The discrete equation is, per node, sigma_k of the principal curvatures
-minus the prescription evaluated at (z, rho, nu).  The Jacobian is
-assembled by central finite differences with stencil coloring: a node's
-residual reads rho only inside the 3x3 stencil footprint (mapped across
-poles), so columns that never share an affected row can be perturbed
-together.  Every accepted Newton iterate must stay strictly inside the
-radial domain and keep the principal curvatures inside the degree-k
-positivity cone with a configurable margin; the report carries the
-a priori bound monitors (radius range, gradient sup, largest curvature,
-support minimum, cone margin) for every accepted iterate.
+minus the prescription evaluated at (z, rho, nu).  That residual reads rho
+only through the node's 2-jet (value, first and second partials), so the
+Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
+six raw jet components c, with D_c the grid's fixed stencil matrices
+(cross-pole ghosting folded in) and dF/dc central differences of the
+stencil-free pointwise residual.  Every accepted Newton iterate must stay
+strictly inside the radial domain and keep the principal curvatures
+inside the degree-k positivity cone with a configurable margin; the
+report carries the a priori bound monitors (radius range, gradient sup,
+largest curvature, support minimum, cone margin) for every accepted
+iterate.
 
-Deterministic: given identical inputs and options the iterate sequence is
-reproducible; setting STARCURV_SERIAL=1 additionally forces the Jacobian
-color sweeps onto the calling thread.
+Runs are serial and deterministic: given identical inputs and options
+the iterate sequence is bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -30,16 +29,12 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from .geometry import GeometryError, GeometryState, assemble
-from .grid import ScalarField, SphereGrid, constant_field
+from .geometry import GeometryError, GeometryState, assemble, pointwise_geometry
+from .grid import (ScalarField, SphereGrid, constant_field, jet_from_partials,
+                   jet_stencils, raw_jet)
 from .prescription import Prescription, builtin
 from .spaceform import DomainError, SpaceFormModel
 from .symfunc import sigma, sigma_all
-
-SERIAL_ENV = "STARCURV_SERIAL"
-
-# dense fallback threshold for the linear solve
-_DENSE_FALLBACK_NODES = 3000
 
 
 class NoConvergence(RuntimeError):
@@ -58,6 +53,12 @@ class ConeBreach(NoConvergence):
 
 @dataclass
 class SolverOptions:
+    """Newton, line-search and continuation settings.
+
+    fd_step is the relative Jacobian step in jet-component space: each
+    raw jet component c moves by +-fd_step * (1 + |c|).
+    """
+
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
     damping: float = 0.5
@@ -67,7 +68,6 @@ class SolverOptions:
     cone_margin: float = 1e-10
     fd_step: float = 1e-6
     use_normalized: bool = False
-    check_jacobian: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < 1.0:
@@ -102,7 +102,6 @@ class SolveReport:
     kappa_max: list = field(default_factory=list)
     u_min: list = field(default_factory=list)
     cone_margin: list = field(default_factory=list)
-    jacobian_checks: list = field(default_factory=list)
 
     @property
     def residual_inf(self) -> float:
@@ -130,7 +129,7 @@ class SolveReport:
         """Append another solve's accepted-iterate traces (homotopy stages)."""
         self.iterations += other.iterations
         for name in ("residual_trace", "rho_min", "rho_max", "grad_inf",
-                     "kappa_max", "u_min", "cone_margin", "jacobian_checks"):
+                     "kappa_max", "u_min", "cone_margin"):
             getattr(self, name).extend(getattr(other, name))
 
     def summary(self) -> dict:
@@ -154,7 +153,12 @@ class SolveReport:
 def _evaluate(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
               k: int, normalized: bool = False):
     """Geometry, residual values, and cone margin in one pass."""
-    state = assemble(model, fieldv)
+    return _residual_of(assemble(model, fieldv), psi, k, normalized)
+
+
+def _residual_of(state: GeometryState, psi: Optional[Prescription], k: int,
+                 normalized: bool):
+    """Residual values and cone margin of an assembled geometry, node by node."""
     lam = state.kappa
     sigs = sigma_all(lam, k)
     margin = float(sigs.min())
@@ -189,126 +193,47 @@ def residual(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
 
 
 # ---------------------------------------------------------------------------
-# Jacobian by colored finite differences
-
-def _stencil_deps(nt: int, nphi: int, i: int, j: int):
-    """Column ids read by the residual at row (i, j): the 3x3 footprint
-    with cross-pole ghost rows mapped back to interior nodes."""
-    half = nphi // 2
-    for di in (-1, 0, 1):
-        ii = i + di
-        jshift = 0
-        if ii == -1:
-            ii, jshift = 0, half
-        elif ii == nt:
-            ii, jshift = nt - 1, half
-        for dj in (-1, 0, 1):
-            yield ii * nphi + (j + dj + jshift) % nphi
-
-
-_coloring_cache: dict = {}
-
-
-def _coloring(nt: int, nphi: int):
-    """Greedy distance coloring of the columns.
-
-    Two columns may share a color only if no residual row depends on both;
-    colors are built by blocking the affected-row sets.  Returns, per
-    color: the column ids, and parallel (rows, cols) index arrays listing
-    every nonzero this color determines.
-    """
-    key = (nt, nphi)
-    if key in _coloring_cache:
-        return _coloring_cache[key]
-    n = nt * nphi
-    affected = [[] for _ in range(n)]
-    for i in range(nt):
-        for j in range(nphi):
-            row = i * nphi + j
-            for col in set(_stencil_deps(nt, nphi, i, j)):
-                affected[col].append(row)
-    blocked: list = []
-    members: list = []
-    for col in range(n):
-        rows = affected[col]
-        for cidx, block in enumerate(blocked):
-            if not block.intersection(rows):
-                block.update(rows)
-                members[cidx].append(col)
-                break
-        else:
-            blocked.append(set(rows))
-            members.append([col])
-    colors = []
-    for cols in members:
-        rows_flat = np.concatenate([np.asarray(affected[c], dtype=np.int64) for c in cols])
-        cols_flat = np.concatenate([np.full(len(affected[c]), c, dtype=np.int64) for c in cols])
-        colors.append((np.asarray(cols, dtype=np.int64), rows_flat, cols_flat))
-    _coloring_cache[key] = colors
-    return colors
-
+# Jacobian by the chain rule through the 2-jet
 
 def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
              k: int, opts: Optional[SolverOptions] = None) -> sp.csr_matrix:
-    """Sparse residual Jacobian assembled color by color.
+    """Sparse residual Jacobian J = sum_c diag(dF/dc) @ D_c.
 
-    Each color perturbs its columns simultaneously with per-column steps
-    fd_step * (1 + |rho|) and reads the induced residual changes off the
-    known sparsity pattern.
+    dF/dc, the derivative of each node's residual in its own raw jet
+    component c, is a central difference of the pointwise residual with
+    step fd_step * (1 + |c|); D_c are the grid's stencil matrices, which
+    share one 9-point pattern, so J is their weights combined row by row.
     """
     opts = opts or SolverOptions()
     g = fieldv.grid
-    n = g.n_nodes
-    base = fieldv.values.ravel()
-    colors = _coloring(g.n_theta, g.n_phi)
-    normalized = opts.use_normalized
-
-    def sweep(color):
-        cols, rows_flat, cols_flat = color
-        eps = opts.fd_step * (1.0 + np.abs(base[cols]))
-        pert = np.zeros(n)
-        pert[cols] = eps
-        fp = ScalarField(g, (base + pert).reshape(g.shape))
-        fm = ScalarField(g, (base - pert).reshape(g.shape))
-        rp = _evaluate(model, fp, psi, k, normalized)[1].ravel()
-        rm = _evaluate(model, fm, psi, k, normalized)[1].ravel()
-        eps_of = np.zeros(n)
-        eps_of[cols] = eps
-        vals = (rp[rows_flat] - rm[rows_flat]) / (2.0 * eps_of[cols_flat])
-        return rows_flat, cols_flat, vals
-
-    serial = os.environ.get(SERIAL_ENV, "") not in ("", "0")
-    if serial or len(colors) <= 2:
-        results = [sweep(c) for c in colors]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(colors))) as pool:
-            results = list(pool.map(sweep, colors))
-
-    rows = np.concatenate([r for r, _, _ in results])
-    cols = np.concatenate([c for _, c, _ in results])
-    vals = np.concatenate([v for _, _, v in results])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    model.check_domain(fieldv.values)
+    parts = raw_jet(fieldv)
+    stencils = jet_stencils(g)
+    data = np.zeros(stencils.weights[0].shape)
+    for c, base in enumerate(parts):
+        step = opts.fd_step * (1.0 + np.abs(base))
+        sides = []
+        for moved in (base + step, base - step):
+            jet = jet_from_partials(g, *parts[:c], moved, *parts[c + 1:])
+            state = pointwise_geometry(model, g, jet)
+            sides.append(_residual_of(state, psi, k, opts.use_normalized)[1])
+        dfdc = (sides[0] - sides[1]) / (2.0 * step)
+        data += dfdc.reshape(-1, 1) * stencils.weights[c]
+    return sp.csr_matrix((data.ravel(), stencils.indices, stencils.indptr),
+                         shape=(g.n_nodes, g.n_nodes), copy=True)
 
 
 def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse factorization with one step of iterative refinement;
-    dense fallback for small systems if the factorization degenerates."""
-    n = J.shape[0]
+    """Direct sparse factorization with one step of iterative refinement."""
     try:
         lu = splu(J.tocsc())
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - J @ x)
-        if np.all(np.isfinite(x)):
-            return x
     except RuntimeError:
-        pass
-    if n <= _DENSE_FALLBACK_NODES:
-        dense = J.toarray()
-        x = np.linalg.solve(dense, rhs)
-        x += np.linalg.solve(dense, rhs - dense @ x)
-        if np.all(np.isfinite(x)):
-            return x
-    raise NoConvergence("linear solve failed: singular Jacobian")
+        raise NoConvergence("linear solve failed: singular Jacobian") from None
+    x = lu.solve(rhs)
+    x += lu.solve(rhs - J @ x)
+    if not np.all(np.isfinite(x)):
+        raise NoConvergence("linear solve failed: singular Jacobian")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +309,6 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                 field=fieldv, report=report)
         report.iterations += 1
         report.record(rnorm, state, margin)
-        if opts.check_jacobian:
-            report.jacobian_checks.append(
-                _jacobian_consistency(model, fieldv, psi, k, opts))
 
     if rnorm <= opts.newton_tol:
         report.converged = True
@@ -395,25 +317,6 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     raise NoConvergence(
         f"iteration budget exhausted at residual {rnorm!r}",
         field=fieldv, report=report)
-
-
-def _jacobian_consistency(model: SpaceFormModel, fieldv: ScalarField,
-                           psi: Optional[Prescription], k: int,
-                           opts: SolverOptions) -> float:
-    """Relative gap between the assembled Jacobian and a directional
-    central difference of the residual, along a fixed smooth direction."""
-    g = fieldv.grid
-    tt, pp = g.mesh()
-    v = np.cos(tt) + 0.5 * np.sin(tt) * np.cos(pp)
-    J = jacobian(model, fieldv, psi, k, opts)
-    eps = opts.fd_step
-    rp = _evaluate(model, ScalarField(g, fieldv.values + eps * v), psi, k,
-                   opts.use_normalized)[1]
-    rm = _evaluate(model, ScalarField(g, fieldv.values - eps * v), psi, k,
-                   opts.use_normalized)[1]
-    dirfd = ((rp - rm) / (2.0 * eps)).ravel()
-    jv = J @ v.ravel()
-    return float(np.abs(jv - dirfd).max() / max(np.abs(jv).max(), 1e-30))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, cwd):
-    env = dict(os.environ, PYTHONPATH=SRC, STARCURV_SERIAL="1")
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-m", "starcurv", *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from starcurv.grid import (CovariantJet, GridError, ScalarField, build_grid,
-                           constant_field, covariant_jet, field_from_function,
-                           refinement_order)
+from starcurv.grid import (JET_COMPONENTS, CovariantJet, GridError, ScalarField,
+                           build_grid, constant_field, covariant_jet, d2_phi,
+                           d2_theta, d_phi, d_theta, d_theta_phi,
+                           field_from_function, jet_stencils, refinement_order)
 
 
 def test_build_grid_node_layout():
@@ -148,3 +149,16 @@ def test_jet_dataclass_shape():
     jet = covariant_jet(constant_field(g, 1.0))
     assert isinstance(jet, CovariantJet)
     assert jet.value.shape == g.shape
+
+
+@pytest.mark.parametrize("nt,nphi", [(9, 10), (8, 14), (11, 16), (64, 128)])
+def test_jet_stencil_matrices_match_stencils(nt, nphi):
+    g = build_grid(nt, nphi)
+    v = np.random.default_rng(nt * 1000 + nphi).standard_normal(g.shape)
+    expected = (v, d_theta(g, v), d_phi(g, v), d2_theta(g, v), d_theta_phi(g, v),
+                d2_phi(g, v))
+    stencils = jet_stencils(g)
+    assert jet_stencils(g) is stencils
+    for c, ref in enumerate(expected):
+        got = (stencils.matrix(c) @ v.ravel()).reshape(g.shape)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), JET_COMPONENTS[c]

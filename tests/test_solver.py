@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from starcurv import solver
 from starcurv.grid import ScalarField, build_grid, constant_field, field_from_function
 from starcurv.prescription import builtin
 from starcurv.solver import (ConeBreach, NoConvergence, SolverOptions,
@@ -232,25 +234,64 @@ def test_solver_options_validation():
         SolverOptions(fd_step=-1e-6)
 
 
-def test_homotopy_jacobian_debug_flag(grid16):
+@pytest.mark.parametrize("nt,nphi", [(64, 128), (128, 256)])
+def test_jacobian_polar_rows_smooth_direction(nt, nphi):
+    # the rows next to a pole carry 1/(sin(theta) dphi)^2 stencil weights;
+    # J v along a smooth direction must still match a Richardson-extrapolated
+    # central difference of the residual there
     m = spaceform(0)
+    g = build_grid(nt, nphi)
+    tt, pp = g.mesh()
+    vals = 1.0 + 0.03 * np.cos(tt) + 0.02 * np.sin(tt) * np.cos(pp)
     base = builtin(m, "round_target", r_bar=1.0, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
-    opts = SolverOptions(newton_tol=1e-11, check_jacobian=True)
-    _, report = continuity_solve(m, grid16, psi, 2, opts)
-    assert report.jacobian_checks, "debug flag must record per-iterate checks"
-    assert max(report.jacobian_checks) < 1e-5
+    v = np.cos(tt) + 0.5 * np.sin(tt) * np.cos(pp)
+
+    def central(eps):
+        rp = residual(m, ScalarField(g, vals + eps * v), psi, 2).values
+        rm = residual(m, ScalarField(g, vals - eps * v), psi, 2).values
+        return (rp - rm) / (2.0 * eps)
+
+    eps = 1e-4
+    ref = (4.0 * central(eps / 2.0) - central(eps)) / 3.0
+    jv = (jacobian(m, ScalarField(g, vals), psi, 2) @ v.ravel()).reshape(g.shape)
+    for row in (0, -1):
+        assert np.abs(jv[row] - ref[row]).max() / np.abs(ref[row]).max() < 1e-4
 
 
-def test_jacobian_serial_and_threaded_paths_agree(grid16, monkeypatch):
+def test_jacobian_and_continuation_repeat_runs_bitwise(grid16):
     m = spaceform(0)
     f = field_from_function(grid16, lambda tt, pp: 1.0 + 0.05 * np.cos(tt))
     psi = builtin(m, "constant", c=1.0)
-    monkeypatch.setenv("STARCURV_SERIAL", "1")
-    J_serial = jacobian(m, f, psi, 2)
-    monkeypatch.delenv("STARCURV_SERIAL")
-    J_threaded = jacobian(m, f, psi, 2)
-    assert (J_serial != J_threaded).nnz == 0
+    J1, J2 = jacobian(m, f, psi, 2), jacobian(m, f, psi, 2)
+    assert np.array_equal(J1.indptr, J2.indptr)
+    assert np.array_equal(J1.indices, J2.indices)
+    assert np.array_equal(J1.data, J2.data)
+    base = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    target = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    opts = SolverOptions(newton_tol=1e-11, homotopy_steps=2)
+    (f1, rep1), (f2, rep2) = (continuity_solve(m, grid16, target, 2, opts)
+                              for _ in range(2))
+    assert np.array_equal(f1.values, f2.values)
+    assert rep1.residual_trace == rep2.residual_trace
+    assert rep1.homotopy_t == rep2.homotopy_t
+
+
+def test_singular_jacobian_raises_no_convergence(monkeypatch):
+    # an exactly singular Jacobian on a 32x64 grid (2048 nodes) must end in
+    # NoConvergence carrying the last good state, never in a numpy error
+    J = sp.identity(2048, format="lil")
+    J[7, 7] = 0.0
+    J = J.tocsr()
+    with pytest.raises(NoConvergence, match="singular Jacobian"):
+        solver._linear_solve(J, np.ones(2048))
+    g = build_grid(32, 64)
+    m = spaceform(0)
+    monkeypatch.setattr(solver, "jacobian", lambda *args: J)
+    with pytest.raises(NoConvergence, match="singular Jacobian") as info:
+        newton_solve(m, constant_field(g, 1.3), builtin(m, "constant", c=1.0), 2, TIGHT)
+    assert info.value.field is not None
+    assert info.value.report is not None
 
 
 def test_newton_with_normalized_residual(grid16):
@@ -276,9 +317,9 @@ def test_newton_mean_curvature_equation(grid16):
 
 
 @pytest.mark.parametrize("nt,nphi", [(9, 10), (8, 14), (11, 16)])
-def test_jacobian_coloring_irregular_grids(nt, nphi):
+def test_jacobian_cross_pole_mapping_irregular_grids(nt, nphi):
     # grids whose longitude count is not a multiple of 4 (and odd half
-    # turns) stress the cross-pole column mapping in the coloring
+    # turns) stress the cross-pole column mapping of the stencil pattern
     m = spaceform(0)
     g = build_grid(nt, nphi)
     tt, pp = g.mesh()
