@@ -19,6 +19,7 @@ from .export import (field_from_node_table, write_mesh, write_node_table,
 from .geometry import assemble
 from .prescription import check_barriers, check_monotonicity, default_rho_samples
 from .solver import NoConvergence, SolveReport, continuity_solve, residual
+from .spaceform import DomainError
 from .verify import run_all
 
 EXIT_OK = 0
@@ -93,14 +94,18 @@ def cmd_check(cfg: RunConfig) -> int:
         all_ok = all_ok and rep.barrier_low_ok and rep.barrier_high_ok
         ran_any = True
     if cfg.check_monotonicity:
-        samples = None
-        if cfg.check_rho_lo is not None and cfg.check_rho_hi is not None:
+        if cfg.check_rho_lo is not None:
             samples = np.linspace(cfg.check_rho_lo, cfg.check_rho_hi, cfg.check_samples)
         elif cfg.barriers is not None:
             samples = np.linspace(cfg.barriers[0], cfg.barriers[1], cfg.check_samples)
         else:
             samples = default_rho_samples(cfg.model, cfg.check_samples)
-        rep = check_monotonicity(cfg.psi, cfg.model, rho_samples=samples, tol=cfg.check_tol)
+        try:
+            rep = check_monotonicity(cfg.psi, cfg.model, rho_samples=samples,
+                                     tol=cfg.check_tol)
+        except DomainError as exc:
+            raise ConfigError(f"monotonicity check: the radial stencil leaves the "
+                              f"domain: {exc}") from None
         mapping.update({
             "monotone_ok": rep.monotone_ok,
             "monotone_max_derivative": rep.monotone_max_derivative,

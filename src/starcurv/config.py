@@ -200,6 +200,14 @@ def parse_config(path) -> RunConfig:
     if check_barriers and barriers is None:
         raise ConfigError("check.barriers requested but barriers.R1/R2 are missing")
 
+    rho_lo = _get(entries, "check.rho_lo", float)
+    rho_hi = _get(entries, "check.rho_hi", float)
+    if (rho_lo is None) != (rho_hi is None):
+        raise ConfigError("check.rho_lo and check.rho_hi must be given together")
+    samples = _get(entries, "check.samples", int, default=64)
+    if samples < 1:
+        raise ConfigError(f"check.samples must be >= 1, got {samples}")
+
     base_dir = path.resolve().parent
 
     def out_path(key, default):
@@ -211,9 +219,9 @@ def parse_config(path) -> RunConfig:
         model=model, grid=grid, k=k, psi=psi, solver=opts, barriers=barriers,
         check_barriers=check_barriers,
         check_monotonicity=_get(entries, "check.monotonicity", _to_bool, default=True),
-        check_rho_lo=_get(entries, "check.rho_lo", float),
-        check_rho_hi=_get(entries, "check.rho_hi", float),
-        check_samples=_get(entries, "check.samples", int, default=64),
+        check_rho_lo=rho_lo,
+        check_rho_hi=rho_hi,
+        check_samples=samples,
         check_tol=_get(entries, "check.tol", float, default=1e-8),
         node_table_path=out_path("outputs.node_table_path", "nodes.csv"),
         mesh_path=out_path("outputs.mesh_path", "mesh.obj"),

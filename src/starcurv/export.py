@@ -54,11 +54,17 @@ def read_node_table(path) -> dict:
 
 
 def field_from_node_table(path, grid: SphereGrid) -> ScalarField:
+    """The rho column of a node table, on the grid whose nodes it lists."""
     cols = read_node_table(path)
     rho = cols["rho"]
     if rho.size != grid.n_nodes:
         raise ValueError(
             f"{path}: node table has {rho.size} rows, grid expects {grid.n_nodes}")
+    tt, pp = grid.mesh()
+    if not (np.allclose(cols["theta"], tt.ravel(), rtol=0.0, atol=1e-12)
+            and np.allclose(cols["phi"], pp.ravel(), rtol=0.0, atol=1e-12)):
+        raise ValueError(f"{path}: node table nodes are not those of the "
+                         f"{grid.n_theta}x{grid.n_phi} grid")
     return ScalarField(grid, rho.reshape(grid.shape))
 
 

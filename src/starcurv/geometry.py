@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CovariantJet, ScalarField, SphereGrid, covariant_jet, d_phi,
-                   d_theta, d2_phi, d2_theta, d_theta_phi)
+from .grid import CovariantJet, ScalarField, SphereGrid, covariant_jet, derivative
 from .spaceform import SpaceFormModel
 
 
@@ -178,6 +177,15 @@ def starshape_margin(state: GeometryState) -> float:
 _DIAG_ORDER = 4
 
 
+def _tensor_partials(g: SphereGrid, tt, tp, pp):
+    """d/dtheta and d/dphi of a symmetric tensor's (tt, tp, pp) components;
+    tp carries one theta index, so its ghost rows flip sign."""
+    d1 = tuple(derivative(g, c, 1, 0, parity, _DIAG_ORDER)
+               for c, parity in ((tt, 1), (tp, -1), (pp, 1)))
+    d2 = tuple(derivative(g, c, 0, 1, order=_DIAG_ORDER) for c in (tt, tp, pp))
+    return d1 + d2
+
+
 def _surface_christoffels(state: GeometryState, flip_sign_bug: bool = False):
     """Christoffel symbols of the induced metric, by finite differences of g.
 
@@ -185,12 +193,8 @@ def _surface_christoffels(state: GeometryState, flip_sign_bug: bool = False):
     harness can prove it detects a broken covariant derivative.
     """
     g = state.grid
-    d1_tt = d_theta(g, state.g_tt, 1, order=_DIAG_ORDER)
-    d1_tp = d_theta(g, state.g_tp, -1, order=_DIAG_ORDER)
-    d1_pp = d_theta(g, state.g_pp, 1, order=_DIAG_ORDER)
-    d2_tt = d_phi(g, state.g_tt, order=_DIAG_ORDER)
-    d2_tp = d_phi(g, state.g_tp, order=_DIAG_ORDER)
-    d2_pp = d_phi(g, state.g_pp, order=_DIAG_ORDER)
+    d1_tt, d1_tp, d1_pp, d2_tt, d2_tp, d2_pp = _tensor_partials(
+        g, state.g_tt, state.g_tp, state.g_pp)
     itt, itp, ipp = state.ginv_tt, state.ginv_tp, state.ginv_pp
 
     G_t_tt = 0.5 * (itt * d1_tt + itp * (2.0 * d1_tp - d2_tt))
@@ -213,11 +217,11 @@ def _surface_hessian(state: GeometryState, values: np.ndarray, chris) -> tuple:
     """
     g = state.grid
     G_t_tt, G_t_tp, G_t_pp, G_p_tt, G_p_tp, G_p_pp = chris
-    ft = d_theta(g, values, order=_DIAG_ORDER)
-    fp = d_phi(g, values, order=_DIAG_ORDER)
-    H_tt = d2_theta(g, values) - G_t_tt * ft - G_p_tt * fp
-    H_tp = d_theta_phi(g, values) - G_t_tp * ft - G_p_tp * fp
-    H_pp = d2_phi(g, values) - G_t_pp * ft - G_p_pp * fp
+    ft = derivative(g, values, 1, 0, order=_DIAG_ORDER)
+    fp = derivative(g, values, 0, 1, order=_DIAG_ORDER)
+    H_tt = derivative(g, values, 2, 0) - G_t_tt * ft - G_p_tt * fp
+    H_tp = derivative(g, values, 1, 1) - G_t_tp * ft - G_p_tp * fp
+    H_pp = derivative(g, values, 0, 2) - G_t_pp * ft - G_p_pp * fp
     return H_tt, H_tp, H_pp
 
 
@@ -237,12 +241,7 @@ def _cov_deriv_h(state: GeometryState, chris):
     g = state.grid
     G_t_tt, G_t_tp, G_t_pp, G_p_tt, G_p_tp, G_p_pp = chris
     h_tt, h_tp, h_pp = state.h_tt, state.h_tp, state.h_pp
-    d1h_tt = d_theta(g, h_tt, 1, order=_DIAG_ORDER)
-    d1h_tp = d_theta(g, h_tp, -1, order=_DIAG_ORDER)
-    d1h_pp = d_theta(g, h_pp, 1, order=_DIAG_ORDER)
-    d2h_tt = d_phi(g, h_tt, order=_DIAG_ORDER)
-    d2h_tp = d_phi(g, h_tp, order=_DIAG_ORDER)
-    d2h_pp = d_phi(g, h_pp, order=_DIAG_ORDER)
+    d1h_tt, d1h_tp, d1h_pp, d2h_tt, d2h_tp, d2h_pp = _tensor_partials(g, h_tt, h_tp, h_pp)
 
     T_t_tt = d1h_tt - 2.0 * (G_t_tt * h_tt + G_p_tt * h_tp)
     T_t_tp = d1h_tp - (G_t_tt * h_tp + G_p_tt * h_pp) - (G_t_tp * h_tt + G_p_tp * h_tp)
@@ -271,8 +270,8 @@ def support_gradient_residual(model: SpaceFormModel, field: ScalarField) -> floa
     gradient, grad_i u = g^{kl} h_{ik} grad_l(potential)."""
     state = assemble(model, field, order=_DIAG_ORDER)
     g = state.grid
-    lhs_t = d_theta(g, state.u)
-    lhs_p = d_phi(g, state.u)
+    lhs_t = derivative(g, state.u, 1, 0)
+    lhs_p = derivative(g, state.u, 0, 1)
     p_t, p_p = _grad_pot(state)
     up_t, up_p = _raise_index(state, p_t, p_p)
     rhs_t = state.h_tt * up_t + state.h_tp * up_p

@@ -5,8 +5,11 @@ uniform and periodic.  Values just beyond a pole are obtained from the
 cross-pole chart identification (theta, phi) -> (-theta, phi + pi): ghost
 rows are the first/last interior row rolled by half a turn, with a sign
 flip for tensor components carrying an odd number of theta indices.
-All stencils are second-order centered differences; jet_stencils also
-gives them as sparse matrices, which the solver's Jacobian combines.
+Every finite difference comes from one table of 1-D centered stencils
+(STENCILS, order 2 for the solver and order 4 for the geometry
+diagnostics) and that one ghost-row map (pad_poles): `derivative` applies
+them to arrays, and jet_stencils gives the order-2 jet as the sparse
+matrices the solver's Jacobian combines.
 """
 
 from __future__ import annotations
@@ -125,6 +128,15 @@ def field_from_function(grid: SphereGrid, fn) -> ScalarField:
 # O(1).  Fourth-order ingredients keep every diagnostic term at or below
 # O(h^2) there.
 
+# STENCILS[order][n] = (integer numerators at offsets -r..r with r = order/2,
+# denominator): the n-th derivative at a node is
+# sum_k num[k] v[node + k - r] / (den h^n).
+STENCILS = {
+    2: (((0, 1, 0), 1), ((-1, 0, 1), 2), ((1, -2, 1), 1)),
+    4: (((0, 0, 1, 0, 0), 1), ((1, -8, 0, 8, -1), 12), ((-1, 16, -30, 16, -1), 12)),
+}
+
+
 def pad_poles(grid: SphereGrid, v: np.ndarray, parity: int = 1, depth: int = 1) -> np.ndarray:
     """Add `depth` ghost rows beyond each pole.
 
@@ -141,51 +153,37 @@ def pad_poles(grid: SphereGrid, v: np.ndarray, parity: int = 1, depth: int = 1) 
     return p
 
 
-def d_theta(grid: SphereGrid, v: np.ndarray, parity: int = 1, order: int = 2) -> np.ndarray:
-    if order == 2:
-        p = pad_poles(grid, v, parity)
-        return (p[2:] - p[:-2]) / (2.0 * grid.dtheta)
-    p = pad_poles(grid, v, parity, depth=2)
-    return (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * grid.dtheta)
+def stencil_sum(nums, shifted):
+    """sum_k nums[k] * shifted(k - r) over the nonzero numerators of a
+    centered stencil of half-width r, added up in offset order."""
+    r = len(nums) // 2
+    terms = [w * shifted(k - r) for k, w in enumerate(nums) if w]
+    return sum(terms[1:], terms[0])
 
 
-def d2_theta(grid: SphereGrid, v: np.ndarray, parity: int = 1, order: int = 2) -> np.ndarray:
-    if order == 2:
-        p = pad_poles(grid, v, parity)
-        return (p[2:] - 2.0 * p[1:-1] + p[:-2]) / grid.dtheta**2
-    p = pad_poles(grid, v, parity, depth=2)
-    return (-p[:-4] + 16.0 * p[1:-3] - 30.0 * p[2:-2] + 16.0 * p[3:-1] - p[4:]) / (12.0 * grid.dtheta**2)
-
-
-def _roll_diff1(v: np.ndarray, step: float, order: int) -> np.ndarray:
-    if order == 2:
-        return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * step)
-    return (np.roll(v, 2, axis=1) - 8.0 * np.roll(v, 1, axis=1)
-            + 8.0 * np.roll(v, -1, axis=1) - np.roll(v, -2, axis=1)) / (12.0 * step)
-
-
-def d_phi(grid: SphereGrid, v: np.ndarray, order: int = 2) -> np.ndarray:
-    return _roll_diff1(v, grid.dphi, order)
-
-
-def d2_phi(grid: SphereGrid, v: np.ndarray, order: int = 2) -> np.ndarray:
-    if order == 2:
-        return (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / grid.dphi**2
-    return (-np.roll(v, 2, axis=1) + 16.0 * np.roll(v, 1, axis=1) - 30.0 * v
-            + 16.0 * np.roll(v, -1, axis=1) - np.roll(v, -2, axis=1)) / (12.0 * grid.dphi**2)
-
-
-def d_theta_phi(grid: SphereGrid, v: np.ndarray, parity: int = 1, order: int = 2) -> np.ndarray:
-    depth = 1 if order == 2 else 2
-    p = pad_poles(grid, v, parity, depth=depth)
-    dp = _roll_diff1(p, grid.dphi, order)
-    if order == 2:
-        return (dp[2:] - dp[:-2]) / (2.0 * grid.dtheta)
-    return (dp[:-4] - 8.0 * dp[1:-3] + 8.0 * dp[3:-1] - dp[4:]) / (12.0 * grid.dtheta)
+def derivative(grid: SphereGrid, v: np.ndarray, n_t: int = 0, n_p: int = 0,
+               parity: int = 1, order: int = 2) -> np.ndarray:
+    """d^(n_t + n_p) v / dtheta^n_t dphi^n_p from STENCILS[order], applied
+    separably: the periodic phi stencil, then the theta stencil over the
+    pad_poles rows with the given parity, each summed, then divided once."""
+    if n_p:
+        nums, den = STENCILS[order][n_p]
+        v = stencil_sum(nums, lambda k: np.roll(v, -k, axis=1)) / (den * grid.dphi**n_p)
+    if n_t:
+        nums, den = STENCILS[order][n_t]
+        r = len(nums) // 2
+        p = pad_poles(grid, v, parity, depth=r)
+        v = stencil_sum(nums, lambda k: p[r + k:r + k + grid.n_theta]) / (den * grid.dtheta**n_t)
+    return v
 
 
 # ---------------------------------------------------------------------------
 # covariant jet on the unit sphere
+
+JET_COMPONENTS = ("value", "d_t", "d_p", "d_tt", "d_tp", "d_pp")
+# (theta, phi) derivative counts of each raw jet component
+JET_DERIVATIVES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
 
 @dataclass(frozen=True, eq=False)
 class CovariantJet:
@@ -208,11 +206,8 @@ class CovariantJet:
 def raw_jet(field: ScalarField, order: int = 2) -> tuple:
     """Raw coordinate partials (f, f_t, f_p, f_tt, f_tp, f_pp) of a scalar
     field, in the order of JET_COMPONENTS."""
-    g = field.grid
-    v = field.values
-    return (v, d_theta(g, v, order=order), d_phi(g, v, order=order),
-            d2_theta(g, v, order=order), d_theta_phi(g, v, order=order),
-            d2_phi(g, v, order=order))
+    return tuple(derivative(field.grid, field.values, n_t, n_p, order=order)
+                 for n_t, n_p in JET_DERIVATIVES)
 
 
 def jet_from_partials(grid: SphereGrid, v, ft, fp, ftt, ftp, fpp) -> CovariantJet:
@@ -245,19 +240,17 @@ def covariant_jet(field: ScalarField, order: int = 2) -> CovariantJet:
 # ---------------------------------------------------------------------------
 # the order-2 stencils as sparse matrices
 
-JET_COMPONENTS = ("value", "d_t", "d_p", "d_tt", "d_tp", "d_pp")
-
-
 @dataclass(frozen=True, eq=False)
 class JetStencils:
     """The order-2 jet stencils as one shared 9-point CSR pattern.
 
-    Row (i, j) holds the 3x3 footprint of node (i, j), with the ghost rows
-    beyond a pole mapped back to interior columns by the cross-pole
-    identification.  weights[c], shape (n_nodes, 9), holds the row-wise
-    data of the matrix D_c with D_c @ f.ravel() == the raw partial c of a
-    scalar f (JET_COMPONENTS order), so a linear combination of the D_c
-    is a combination of their weight arrays on the same pattern.
+    Row (i, j) holds the 3x3 footprint of node (i, j) in (theta, phi)
+    offset order, with the ghost rows beyond a pole mapped back to interior
+    columns by pad_poles.  weights[c], shape (n_nodes, 9), holds the
+    row-wise data of the matrix D_c with D_c @ f.ravel() == the raw
+    partial c of a scalar f (JET_COMPONENTS order), so a linear
+    combination of the D_c is a combination of their weight arrays on the
+    same pattern.
     """
 
     indptr: np.ndarray
@@ -275,31 +268,19 @@ def jet_stencils(grid: SphereGrid) -> JetStencils:
     cached = getattr(grid, "_stencils", None)
     if cached is not None:
         return cached
-    nt, nphi = grid.shape
-    ii, jj = np.meshgrid(np.arange(nt), np.arange(nphi), indexing="ij")
-    cols, w = [], []
-    ht, hp = 1.0 / grid.dtheta, 1.0 / grid.dphi
-    # each component's weight is a product of 1-D centered stencils at (di, dj)
-    i0, d1, d2 = (0.0, 1.0, 0.0), (-0.5, 0.0, 0.5), (1.0, -2.0, 1.0)
-    for di in (-1, 0, 1):
-        rows = ii + di
-        # a ghost row beyond a pole is the boundary row shifted half a turn
-        shift = np.where((rows < 0) | (rows >= nt), nphi // 2, 0)
-        rows = np.clip(rows, 0, nt - 1)
-        for dj in (-1, 0, 1):
-            cols.append(rows * nphi + (jj + dj + shift) % nphi)
-            a, b = di + 1, dj + 1
-            w.append((i0[a] * i0[b], d1[a] * i0[b] * ht, i0[a] * d1[b] * hp,
-                      d2[a] * i0[b] * ht * ht, d1[a] * d1[b] * ht * hp,
-                      i0[a] * d2[b] * hp * hp))
-    cols = np.stack([c.ravel() for c in cols], axis=1)
-    order = np.argsort(cols, axis=1, kind="stable")
-    indices = np.take_along_axis(cols, order, axis=1)
-    weights = tuple(np.take_along_axis(np.broadcast_to(np.array(c), cols.shape),
-                                       order, axis=1)
-                    for c in zip(*w))
-    cached = JetStencils(indptr=np.arange(0, 9 * nt * nphi + 1, 9),
-                         indices=indices.ravel(), weights=weights)
+    nt, n = grid.n_theta, grid.n_nodes
+    # node numbers with pad_poles' ghost rows: offset (di, dj) of every node
+    ids = pad_poles(grid, np.arange(n).reshape(grid.shape)).astype(np.intp)
+    cols = np.stack([np.roll(ids, -dj, axis=1)[1 + di:1 + di + nt].ravel()
+                     for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
+    weights = []
+    for n_t, n_p in JET_DERIVATIVES:
+        (num_t, den_t), (num_p, den_p) = STENCILS[2][n_t], STENCILS[2][n_p]
+        w = np.outer(num_t, num_p).ravel() / ((den_t * grid.dtheta**n_t)
+                                              * (den_p * grid.dphi**n_p))
+        weights.append(np.broadcast_to(w, (n, 9)))
+    cached = JetStencils(indptr=np.arange(0, 9 * n + 1, 9), indices=cols.ravel(),
+                         weights=tuple(weights))
     object.__setattr__(grid, "_stencils", cached)
     return cached
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import build_grid
+from .grid import STENCILS, build_grid, stencil_sum
 from .spaceform import DomainError, SpaceFormModel
 
 FAMILIES = ("constant", "radial_power", "round_target", "anisotropic")
@@ -234,14 +234,14 @@ def check_monotonicity(psi: Prescription, model: SpaceFormModel,
     zz = directions[:, None, :]
     nn = normals[:, None, :]
     h = _MONO_STEP * np.maximum(np.abs(rr), 0.1)
-    hmax = h.max()
-    model.check_domain(rho_samples - 2 * hmax)
-    model.check_domain(rho_samples + 2 * hmax)
+    model.check_domain(rr - 2 * h)
+    model.check_domain(rr + 2 * h)
 
     def f(r):
         return model.warp(r) ** k * psi(zz, r, nn)
 
-    deriv = (f(rr - 2 * h) - 8.0 * f(rr - h) + 8.0 * f(rr + h) - f(rr + 2 * h)) / (12.0 * h)
+    nums, den = STENCILS[4][1]
+    deriv = stencil_sum(nums, lambda m: f(rr + m * h)) / (den * h)
     worst = float(deriv.max())
     return ConditionReport(
         monotone_ok=worst <= tol,

@@ -287,20 +287,18 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
         accepted = False
         admissible_seen = False
         for _ in range(opts.max_backtracks + 1):
-            cand = fieldv.values + alpha * delta
-            if _in_domain(model, cand):
-                cf = ScalarField(fieldv.grid, cand)
-                try:
-                    cstate, cres, cmargin = _evaluate(model, cf, psi, k, opts.use_normalized)
-                except (GeometryError, DomainError):
-                    cstate = None
-                if cstate is not None and cmargin >= opts.cone_margin:
-                    admissible_seen = True
-                    cnorm = float(np.abs(cres).max())
-                    if cnorm < rnorm:
-                        fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
-                        accepted = True
-                        break
+            cf = ScalarField(fieldv.grid, fieldv.values + alpha * delta)
+            try:
+                cstate, cres, cmargin = _evaluate(model, cf, psi, k, opts.use_normalized)
+            except (GeometryError, DomainError):
+                cstate = None
+            if cstate is not None and cmargin >= opts.cone_margin:
+                admissible_seen = True
+                cnorm = float(np.abs(cres).max())
+                if cnorm < rnorm:
+                    fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
+                    accepted = True
+                    break
             alpha *= opts.damping
         if not accepted:
             if not admissible_seen:

@@ -12,7 +12,7 @@ from starcurv.config import ConfigError, parse_config
 from starcurv.export import (field_from_node_table, read_node_table, read_report,
                              write_mesh, write_node_table)
 from starcurv.geometry import assemble
-from starcurv.grid import build_grid
+from starcurv.grid import build_grid, constant_field
 from starcurv.solver import residual
 from starcurv.spaceform import spaceform
 
@@ -112,6 +112,18 @@ def test_export_without_solution_fails(tmp_path):
     proc = run_cli(["export", str(cfg)], tmp_path)
     assert proc.returncode == 2
     assert "nodes.csv" in proc.stderr
+
+
+def test_export_rejects_node_table_of_another_grid(tmp_path, capsys):
+    # 16x32 and 8x64 have the same node count, so only the node columns tell
+    g = build_grid(16, 32)
+    state = assemble(spaceform(0), constant_field(g, 1.0))
+    write_node_table(tmp_path / "nodes.csv", state, np.zeros(g.shape))
+    assert field_from_node_table(tmp_path / "nodes.csv", g).values.shape == g.shape
+    body = ROUND_CFG.replace("grid.n_theta = 16", "grid.n_theta = 8")
+    cfg = write_cfg(tmp_path / "run.cfg", body.replace("grid.n_phi = 32", "grid.n_phi = 64"))
+    assert main(["export", str(cfg)]) == 2
+    assert "8x64" in capsys.readouterr().err
 
 
 CHECK_MONO_CFG = """
@@ -220,6 +232,18 @@ def test_parse_config_rejects_half_barriers(tmp_path):
     cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "barriers.R1 = 0.5\n")
     with pytest.raises(ConfigError):
         parse_config(cfg)
+
+
+@pytest.mark.parametrize("extra", [
+    "check.samples = 0\n",
+    "check.rho_lo = -1.0\ncheck.rho_hi = 1.0\n",
+    "check.rho_lo = 0.5\n",
+    "barriers.R1 = 1e-5\nbarriers.R2 = 1.0\n",
+], ids=["zero-samples", "negative-rho-lo", "rho-lo-alone", "barrier-below-stencil"])
+def test_check_config_errors_exit_2(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + extra)
+    assert main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_mesh_writer_counts(tmp_path):

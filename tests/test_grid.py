@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from starcurv.grid import (JET_COMPONENTS, CovariantJet, GridError, ScalarField,
-                           build_grid, constant_field, covariant_jet, d2_phi,
-                           d2_theta, d_phi, d_theta, d_theta_phi,
-                           field_from_function, jet_stencils, refinement_order)
+from starcurv.grid import (JET_COMPONENTS, JET_DERIVATIVES, CovariantJet, GridError,
+                           ScalarField, build_grid, constant_field, covariant_jet,
+                           derivative, field_from_function, jet_stencils,
+                           refinement_order)
 
 
 def test_build_grid_node_layout():
@@ -100,7 +100,8 @@ def test_jet_linearity():
         assert np.abs(lhs - rhs).max() < 1e-11 * max(1.0, np.abs(rhs).max())
 
 
-def test_jet_rotation_equivariance_bitwise():
+@pytest.mark.parametrize("order", [2, 4])
+def test_jet_rotation_equivariance_bitwise(order):
     # shifting the field by a whole number of longitude cells must commute
     # with the jet exactly, bit for bit
     g = build_grid(16, 32)
@@ -108,7 +109,7 @@ def test_jet_rotation_equivariance_bitwise():
     f = ScalarField(g, rng.standard_normal(g.shape))
     shift = 5
     shifted = ScalarField(g, np.roll(f.values, shift, axis=1))
-    j0, j1 = covariant_jet(f), covariant_jet(shifted)
+    j0, j1 = covariant_jet(f, order=order), covariant_jet(shifted, order=order)
     for name in ("d_t", "d_p", "hess_tt", "hess_tp", "hess_pp", "grad_sq"):
         assert np.array_equal(np.roll(getattr(j0, name), shift, axis=1), getattr(j1, name))
 
@@ -155,10 +156,27 @@ def test_jet_dataclass_shape():
 def test_jet_stencil_matrices_match_stencils(nt, nphi):
     g = build_grid(nt, nphi)
     v = np.random.default_rng(nt * 1000 + nphi).standard_normal(g.shape)
-    expected = (v, d_theta(g, v), d_phi(g, v), d2_theta(g, v), d_theta_phi(g, v),
-                d2_phi(g, v))
+    expected = [derivative(g, v, n_t, n_p) for n_t, n_p in JET_DERIVATIVES]
     stencils = jet_stencils(g)
     assert jet_stencils(g) is stencils
     for c, ref in enumerate(expected):
         got = (stencils.matrix(c) @ v.ravel()).reshape(g.shape)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), JET_COMPONENTS[c]
+
+
+def test_fourth_order_theta_derivative_odd_parity_through_poles():
+    # cos(theta) cos(phi) changes sign under the cross-pole identification
+    # (theta, phi) -> (-theta, phi + pi), so its ghost rows carry parity -1;
+    # with them the order-4 stencil converges at fourth order on every row,
+    # the rows next to a pole included
+    errs = []
+    for nt in (16, 32, 64):
+        g = build_grid(nt, 2 * nt)
+        tt, pp = g.mesh()
+        v = np.cos(tt) * np.cos(pp)
+        exact = -np.sin(tt) * np.cos(pp)
+        errs.append(np.abs(derivative(g, v, 1, 0, parity=-1, order=4) - exact).max())
+        assert np.abs(derivative(g, v, 1, 0, parity=1, order=4) - exact).max() > 0.1 * nt
+    assert errs[-1] < 1e-6
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 13.0 < coarse / fine < 19.0

@@ -151,6 +151,16 @@ def test_monotonicity_round_target_boundary_case():
     assert abs(rep.monotone_max_derivative) < 1e-10
 
 
+def test_monotonicity_stencil_reach_is_per_sample():
+    # each radius moves by its own step, so a small radius next to a large
+    # one stays checkable; a radius within two steps of 0 does not
+    m = spaceform(0)
+    psi = builtin(m, "radial_power", c=1.0, m=4.0)
+    assert check_monotonicity(psi, m, rho_samples=np.linspace(5e-4, 2.0, 64)).monotone_ok
+    with pytest.raises(DomainError):
+        check_monotonicity(psi, m, rho_samples=np.linspace(1e-5, 1.0, 64))
+
+
 def test_monotonicity_spherical_model():
     # constant prescription in the spherical model: d/drho sin^2 = sin 2 rho
     m = spaceform(1)
