@@ -84,13 +84,12 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
                        jet: CovariantJet) -> GeometryState:
     """The per-node part of assemble: geometry from the jet alone.
 
-    Reads rho only through the jet, node by node, with no stencil and no
-    domain check, so it also accepts perturbed jet components.
+    Reads rho only through the jet, node by node, with no stencil, so it
+    also accepts perturbed jet components.  Its one domain check, in
+    model.warps, covers the jet's value.
     """
     rho = jet.value
-    phi = np.asarray(model.warp(rho))
-    dphi = np.asarray(model.warp_deriv(rho))
-    pot = np.asarray(model.warp_integral(rho))
+    phi, dphi, pot = model.warps(rho)
     w = jet.grad_sq
     sroot = np.sqrt(phi * phi + w)
 

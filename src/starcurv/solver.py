@@ -7,9 +7,13 @@ Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
 six raw jet components c, with D_c the grid's fixed stencil matrices
 (cross-pole ghosting folded in) and dF/dc central differences of the
 stencil-free pointwise residual.  That pattern is structurally symmetric,
-so each Newton step factors J with the minimum-degree ordering of J^T + J
-(SuperLU's MMD_AT_PLUS_A), which fills in about half as much as the
-default COLAMD.  Every accepted Newton iterate must stay
+so J is factored with the minimum-degree ordering of J^T + J (SuperLU's
+MMD_AT_PLUS_A), which fills in about half as much as the default COLAMD.
+A continuation keeps one LU alive across all its Newton steps and stages:
+the curvatures stay bounded along the homotopy, so J drifts little, and
+each Newton system is solved by iterative refinement against the LU of an
+earlier J.  J is factored again only when that refinement stops
+contracting.  Every accepted Newton iterate must stay
 strictly inside the radial domain and keep the principal curvatures
 inside the degree-k positivity cone with a configurable margin; the
 report carries the a priori bound monitors (radius range, gradient sup,
@@ -91,11 +95,15 @@ class SolveReport:
 
     The monitor lists hold one entry per accepted iterate (the seed
     counts as iterate zero).  homotopy_t has one entry per accepted
-    continuation stage.
+    continuation stage.  factorizations counts the sparse LU factorizations
+    and refine_sweeps the refinement sweeps against a reused LU; like
+    iterations, both cover the accepted stages only.
     """
 
     converged: bool = False
     iterations: int = 0
+    factorizations: int = 0
+    refine_sweeps: int = 0
     message: str = ""
     residual_trace: list = field(default_factory=list)
     homotopy_t: list = field(default_factory=list)
@@ -131,6 +139,8 @@ class SolveReport:
     def absorb(self, other: "SolveReport"):
         """Append another solve's accepted-iterate traces (homotopy stages)."""
         self.iterations += other.iterations
+        self.factorizations += other.factorizations
+        self.refine_sweeps += other.refine_sweeps
         for name in ("residual_trace", "rho_min", "rho_max", "grad_inf",
                      "kappa_max", "u_min", "cone_margin"):
             getattr(self, name).extend(getattr(other, name))
@@ -139,6 +149,8 @@ class SolveReport:
         return {
             "converged": self.converged,
             "iterations": self.iterations,
+            "factorizations": self.factorizations,
+            "refine_sweeps": self.refine_sweeps,
             "residual_inf": self.residual_inf,
             "rho_min": self.rho_min[-1] if self.rho_min else math.nan,
             "rho_max": self.rho_max[-1] if self.rho_max else math.nan,
@@ -209,7 +221,6 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     """
     opts = opts or SolverOptions()
     g = fieldv.grid
-    model.check_domain(fieldv.values)
     parts = raw_jet(fieldv)
     stencils = jet_stencils(g)
     data = np.zeros(stencils.weights[0].shape)
@@ -226,16 +237,77 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
                          shape=(g.n_nodes, g.n_nodes), copy=True)
 
 
-def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse factorization with one step of iterative refinement."""
+# Refinement against a reused LU stops once |b - Jx|_inf <= REFINE_TOL |b|_inf.
+# It gives up, and J is factored afresh, when a sweep fails to halve the
+# residual or after REFINE_MAX_SWEEPS sweeps.  A tolerance near 1e-10 would
+# sit on the direct solve's own floor and refactor on almost every step.
+REFINE_TOL = 1e-8
+REFINE_MAX_SWEEPS = 12
+
+
+class Factor:
+    """Holder of the one sparse LU a continuation keeps alive.
+
+    lu is the factor of some earlier Jacobian, or None before the first
+    factorization; _linear_solve replaces it when refinement against it
+    stops contracting.
+    """
+
+    __slots__ = ("lu",)
+
+    def __init__(self):
+        self.lu = None
+
+
+def _refine(lu, J: sp.csr_matrix, rhs: np.ndarray):
+    """Iterative refinement of J x = rhs against lu, the LU of a nearby matrix.
+
+    Returns (x, sweeps); x is None when the residual stops contracting.
+    """
+    x = lu.solve(rhs)
+    r = rhs - J @ x
+    rnorm = np.abs(r).max()
+    goal = REFINE_TOL * np.abs(rhs).max()
+    sweeps = 0
+    while not rnorm <= goal:
+        if sweeps == REFINE_MAX_SWEEPS:
+            return None, sweeps
+        x += lu.solve(r)
+        sweeps += 1
+        r = rhs - J @ x
+        last, rnorm = rnorm, np.abs(r).max()
+        if not rnorm <= 0.5 * last:
+            return None, sweeps
+    return x, sweeps
+
+
+def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = None,
+                  report: Optional[SolveReport] = None) -> np.ndarray:
+    """Solve J x = rhs, reusing factor's LU when refinement against it converges.
+
+    Otherwise J is factored afresh, solved directly with one step of
+    iterative refinement, and its LU kept in factor.  Without a factor every
+    call factors J.  report, if given, counts factorizations and sweeps.
+    """
+    if factor is not None and factor.lu is not None:
+        x, sweeps = _refine(factor.lu, J, rhs)
+        if report is not None:
+            report.refine_sweeps += sweeps
+        if x is not None:
+            return x
+        factor.lu = None     # one LU alive at a time: drop it before factoring
     try:
         lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         raise NoConvergence("linear solve failed: singular Jacobian") from None
+    if report is not None:
+        report.factorizations += 1
     x = lu.solve(rhs)
     x += lu.solve(rhs - J @ x)
     if not np.all(np.isfinite(x)):
         raise NoConvergence("linear solve failed: singular Jacobian")
+    if factor is not None:
+        factor.lu = lu
     return x
 
 
@@ -252,8 +324,11 @@ def _in_domain(model: SpaceFormModel, values: np.ndarray) -> bool:
 
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  k: int, opts: Optional[SolverOptions] = None,
-                 report: Optional[SolveReport] = None):
+                 report: Optional[SolveReport] = None, factor: Optional[Factor] = None):
     """Damped Newton iteration constrained to the admissibility cone.
+
+    With a factor, each Newton system is solved against the LU it holds
+    (see _linear_solve); without one, every step factors its Jacobian.
 
     Backtracking accepts a step only when the candidate stays strictly
     inside the radial domain, keeps the curvatures inside the cone with
@@ -279,7 +354,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             return fieldv, report
         J = jacobian(model, fieldv, psi, k, opts)
         try:
-            delta = _linear_solve(J, -res.ravel()).reshape(fieldv.grid.shape)
+            delta = _linear_solve(J, -res.ravel(), factor, report).reshape(fieldv.grid.shape)
         except NoConvergence as exc:
             raise NoConvergence(str(exc), field=fieldv, report=report) from None
 
@@ -362,6 +437,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     solution when the prediction leaves the radial domain or Newton from it
     breaches the cone.  A step that would end within min_homotopy_step of
     t = 1 goes to 1, and a failed step is halved from the t it tried.
+    Every Newton solve of the continuation shares one Factor.
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
@@ -369,11 +445,12 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
                    r_bar=r0, m=k + 2)
     fieldv = constant_field(grid, r0)
     report = SolveReport()
+    factor = Factor()
 
     t = 0.0
     dt_base = 1.0 / opts.homotopy_steps
     dt = dt_base
-    fieldv, sub = newton_solve(model, fieldv, psi0, k, opts)
+    fieldv, sub = newton_solve(model, fieldv, psi0, k, opts, factor=factor)
     report.absorb(sub)
     report.homotopy_t.append(0.0)
     prev = None
@@ -391,7 +468,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         cand = None
         for seed in seeds:
             try:
-                cand, sub = newton_solve(model, seed, psi_t, k, opts)
+                cand, sub = newton_solve(model, seed, psi_t, k, opts, factor=factor)
                 break
             except ConeBreach:
                 continue

@@ -21,6 +21,13 @@ SPHERE_CAP_GUARD = 1e-12
 # Practical stand-in for an unbounded radial domain (K = 0, -1).
 DEFAULT_DOMAIN_CAP = 50.0
 
+# The warp, its derivative and its antiderivative vanishing at 0, per K.
+WARP_FORMULAS = {
+    0: (lambda r: r, np.ones_like, lambda r: 0.5 * r * r),
+    1: (np.sin, np.cos, lambda r: 1.0 - np.cos(r)),
+    -1: (np.sinh, np.cosh, lambda r: np.cosh(r) - 1.0),
+}
+
 
 class DomainError(ValueError):
     """Radius outside the admissible interval (0, a) of the model."""
@@ -56,41 +63,28 @@ class SpaceFormModel:
                 f"radius {bad!r} outside admissible interval (0, {hi!r}) for K={self.K}"
             )
 
+    def _warp_parts(self, rho, parts, allow_zero: bool = False) -> list:
+        """The warp formulas numbered in parts, at rho, behind one domain check."""
+        self.check_domain(rho, allow_zero=allow_zero)
+        r = np.asarray(rho, dtype=float)
+        out = [WARP_FORMULAS[self.K][i](r) for i in parts]
+        return [v if v.ndim else float(v) for v in out]
+
+    def warps(self, rho):
+        """(warp, warp_deriv, warp_integral) of rho behind one domain check."""
+        return tuple(self._warp_parts(rho, (0, 1, 2)))
+
     def warp(self, rho):
         """Warping factor: rho, sin(rho), or sinh(rho)."""
-        self.check_domain(rho)
-        r = np.asarray(rho, dtype=float)
-        if self.K == 0:
-            out = r
-        elif self.K == 1:
-            out = np.sin(r)
-        else:
-            out = np.sinh(r)
-        return out if out.ndim else float(out)
+        return self._warp_parts(rho, (0,))[0]
 
     def warp_deriv(self, rho):
         """Derivative of the warping factor: 1, cos(rho), or cosh(rho)."""
-        self.check_domain(rho)
-        r = np.asarray(rho, dtype=float)
-        if self.K == 0:
-            out = np.ones_like(r)
-        elif self.K == 1:
-            out = np.cos(r)
-        else:
-            out = np.cosh(r)
-        return out if out.ndim else float(out)
+        return self._warp_parts(rho, (1,))[0]
 
     def warp_integral(self, rho):
         """Antiderivative of the warp vanishing at 0: rho^2/2, 1-cos, cosh-1."""
-        self.check_domain(rho, allow_zero=True)
-        r = np.asarray(rho, dtype=float)
-        if self.K == 0:
-            out = 0.5 * r * r
-        elif self.K == 1:
-            out = 1.0 - np.cos(r)
-        else:
-            out = np.cosh(r) - 1.0
-        return out if out.ndim else float(out)
+        return self._warp_parts(rho, (2,), allow_zero=True)[0]
 
     def sphere_curvature(self, rho):
         """Principal curvature of the centered geodesic sphere of radius rho.

@@ -386,11 +386,11 @@ def test_continuity_predictor_falls_back_to_previous_solution(grid16, monkeypatc
     real_newton, real_in_domain = solver.newton_solve, solver._in_domain
     solved, predicted = [], []
 
-    def newton(model, rho0, psi, k, opts=None, report=None):
+    def newton(model, rho0, psi, k, opts=None, report=None, **kw):
         if solved and rho0 is not solved[-1]:
             predicted.append(psi.params["t"])
             raise ConeBreach("rejected prediction", field=rho0)
-        out = real_newton(model, rho0, psi, k, opts, report)
+        out = real_newton(model, rho0, psi, k, opts, report, **kw)
         solved.append(out[0])
         return out
 
@@ -422,10 +422,10 @@ def test_continuity_failed_stage_is_not_repeated(grid16, monkeypatch):
         attempts.append(t)
         return real_blend(self, other, t)
 
-    def newton(model, rho0, psi, k, opts=None, report=None):
+    def newton(model, rho0, psi, k, opts=None, report=None, **kw):
         if psi.params.get("t") == 1.0 and attempts.count(1.0) == 1:
             raise NoConvergence("injected failure at t = 1")
-        return real_newton(model, rho0, psi, k, opts, report)
+        return real_newton(model, rho0, psi, k, opts, report, **kw)
 
     monkeypatch.setattr(Prescription, "blend", blend)
     monkeypatch.setattr(solver, "newton_solve", newton)
@@ -449,3 +449,92 @@ def test_linear_solve_residual_64x128():
     b = np.random.default_rng(64).standard_normal(g.n_nodes)
     x = solver._linear_solve(J, b)
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def _stage_jacobian(m, g, t, amp):
+    # the Jacobian of the t-blend from the radial start towards the
+    # anisotropic target, at a field a distance amp off the round sphere
+    start = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    f = field_from_function(g, lambda tt, pp: 1.0 + amp * np.cos(tt)
+                            + amp * np.sin(tt) * np.cos(pp))
+    return jacobian(m, f, start.blend(_aniso_target(m), t), 2)
+
+
+def test_linear_solve_reuses_neighbouring_lu(grid16):
+    # the LU of the t = 0 Jacobian solves the t = 0.1 system by refinement
+    # to 1e-8 |b| without a new factorization
+    m = spaceform(0)
+    J0 = _stage_jacobian(m, grid16, 0.0, 0.0)
+    J1 = _stage_jacobian(m, grid16, 0.1, 0.01)
+    factor = solver.Factor()
+    factor.lu = stale = solver.splu(J0.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    b = np.random.default_rng(16).standard_normal(grid16.n_nodes)
+    report = solver.SolveReport()
+    x = solver._linear_solve(J1, b, factor, report)
+    assert np.abs(J1 @ x - b).max() <= 1e-8 * np.abs(b).max()
+    assert report.factorizations == 0
+    assert 0 < report.refine_sweeps <= solver.REFINE_MAX_SWEEPS
+    assert factor.lu is stale
+
+
+def test_linear_solve_refactors_once_when_refinement_diverges(grid16):
+    # against the LU of -J each sweep doubles the residual: the stale LU
+    # is replaced by one fresh factorization, as accurate as a fresh solve
+    m = spaceform(0)
+    J = _stage_jacobian(m, grid16, 0.1, 0.01)
+    factor = solver.Factor()
+    factor.lu = stale = solver.splu((-J).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    b = np.random.default_rng(32).standard_normal(grid16.n_nodes)
+    report = solver.SolveReport()
+    x = solver._linear_solve(J, b, factor, report)
+    assert report.factorizations == 1
+    assert report.refine_sweeps == 1
+    assert factor.lu is not None and factor.lu is not stale
+    assert np.array_equal(x, solver._linear_solve(J, b))
+    assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_singular_jacobian_with_stale_lu_raises_no_convergence():
+    # a healthy stale LU cannot hide a singular Jacobian: refinement stalls
+    # on the zero row, and the fresh factorization fails
+    J = sp.identity(2048, format="lil")
+    J[7, 7] = 0.0
+    J = J.tocsr()
+    factor = solver.Factor()
+    factor.lu = solver.splu(sp.identity(2048, format="csc"), permc_spec="MMD_AT_PLUS_A")
+    with pytest.raises(NoConvergence, match="singular Jacobian"):
+        solver._linear_solve(J, np.ones(2048), factor)
+    assert factor.lu is None
+
+
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
+def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16, monkeypatch):
+    # one LU shared by the whole continuation gives the field and the
+    # Newton iterations of a run that factors every Jacobian afresh
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    f_reuse, rep_reuse = continuity_solve(m, grid16, psi, 2, TIGHT)
+    real_newton = solver.newton_solve
+
+    def fresh(model, rho0, psi, k, opts=None, report=None, factor=None):
+        return real_newton(model, rho0, psi, k, opts, report)
+
+    monkeypatch.setattr(solver, "newton_solve", fresh)
+    f_fresh, rep_fresh = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert rep_reuse.converged and rep_fresh.converged
+    assert np.abs(f_reuse.values - f_fresh.values).max() < 1e-10
+    assert rep_reuse.iterations == rep_fresh.iterations
+    assert rep_reuse.homotopy_t == rep_fresh.homotopy_t
+    assert rep_fresh.factorizations == rep_fresh.iterations
+    assert rep_fresh.refine_sweeps == 0
+
+
+def test_continuation_reports_factorizations_and_sweeps(grid16):
+    m = spaceform(0)
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
+    assert 1 <= report.factorizations < report.iterations
+    assert report.refine_sweeps > 0
+    summary = report.summary()
+    assert summary["factorizations"] == report.factorizations
+    assert summary["refine_sweeps"] == report.refine_sweeps
