@@ -18,7 +18,7 @@ from .export import (field_from_node_table, write_mesh, write_node_table,
                      write_report)
 from .geometry import assemble
 from .prescription import check_barriers, check_monotonicity, default_rho_samples
-from .solver import NoConvergence, SolveReport, continuity_solve, residual
+from .solver import NoConvergence, SolveReport, _residual_of, continuity_solve
 from .spaceform import DomainError
 from .verify import run_all
 
@@ -29,9 +29,8 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _write_solution_artifacts(cfg: RunConfig, fieldv, report: SolveReport | None) -> None:
-    state = assemble(cfg.model, fieldv)
-    res = residual(cfg.model, fieldv, cfg.psi, cfg.k,
-                   normalized=cfg.solver.use_normalized).values
+    state, res, _ = _residual_of(assemble(cfg.model, fieldv), cfg.psi, cfg.k,
+                                 cfg.solver.use_normalized)
     write_node_table(cfg.node_table_path, state, res)
     write_mesh(cfg.mesh_path, cfg.grid, fieldv.values)
     mapping = {

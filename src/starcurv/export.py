@@ -30,15 +30,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _format_rows(template: str, rows: np.ndarray) -> str:
+    """One template line per row of a 2-D array, filled by a single %-format."""
+    return (template * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_node_table(path, state: GeometryState, residual_values: np.ndarray) -> None:
     g = state.grid
     tt, pp = g.mesh()
     cols = (tt, pp, state.rho, state.kappa1, state.kappa2, state.u, residual_values)
-    flat = [np.asarray(c, dtype=float).ravel() for c in cols]
-    lines = [NODE_TABLE_HEADER]
-    for row in zip(*flat):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([np.asarray(c, dtype=float).ravel() for c in cols])
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    Path(path).write_text(NODE_TABLE_HEADER + "\n" + _format_rows(template, rows))
 
 
 def read_node_table(path) -> dict:
@@ -78,26 +81,17 @@ def write_mesh(path, grid: SphereGrid, rho: np.ndarray) -> None:
     """
     nt, nphi = grid.shape
     z, _, _ = grid.unit_vectors()
-    pts = rho[..., None] * z
-    lines = []
-    for i in range(nt):
-        for j in range(nphi):
-            x, y, w = pts[i, j]
-            lines.append(f"v {format(x, '.17g')} {format(y, '.17g')} {format(w, '.17g')}")
-    north = float(np.mean(rho[0]))
-    south = float(np.mean(rho[-1]))
-    lines.append(f"v 0 0 {format(north, '.17g')}")
-    lines.append(f"v 0 0 {format(-south, '.17g')}")
-    vid = lambda i, j: i * nphi + (j % nphi) + 1
-    north_id = nt * nphi + 1
-    south_id = nt * nphi + 2
-    for i in range(nt - 1):
-        for j in range(nphi):
-            lines.append(f"f {vid(i, j)} {vid(i + 1, j)} {vid(i + 1, j + 1)} {vid(i, j + 1)}")
-    for j in range(nphi):
-        lines.append(f"f {north_id} {vid(0, j)} {vid(0, j + 1)}")
-        lines.append(f"f {south_id} {vid(nt - 1, j + 1)} {vid(nt - 1, j)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    poles = [[0.0, 0.0, float(np.mean(rho[0]))], [0.0, 0.0, -float(np.mean(rho[-1]))]]
+    verts = np.concatenate([(rho[..., None] * z).reshape(-1, 3), poles])
+    ids = np.arange(1, nt * nphi + 1).reshape(nt, nphi)
+    east = np.roll(ids, -1, axis=1)
+    quads = np.stack([ids[:-1], ids[1:], east[1:], east[:-1]], axis=-1).reshape(-1, 4)
+    north_id, south_id = nt * nphi + 1, nt * nphi + 2
+    caps = np.stack([np.full(nphi, north_id), ids[0], east[0],
+                     np.full(nphi, south_id), east[-1], ids[-1]], axis=-1).reshape(-1, 3)
+    Path(path).write_text(_format_rows("v %.17g %.17g %.17g\n", verts)
+                          + _format_rows("f %d %d %d %d\n", quads)
+                          + _format_rows("f %d %d %d\n", caps))
 
 
 def write_report(path, mapping: dict) -> None:

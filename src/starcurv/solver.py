@@ -13,7 +13,10 @@ A continuation keeps one LU alive across all its Newton steps and stages:
 the curvatures stay bounded along the homotopy, so J drifts little, and
 each Newton system is solved by iterative refinement against the LU of an
 earlier J.  J is factored again only when that refinement stops
-contracting.  Every accepted Newton iterate must stay
+contracting.  The continuation tries the whole path t = 0 -> 1 in one
+step first, halves a step that fails (including one whose first Newton
+step needs damping) and doubles the next one after a step that
+succeeds.  Every accepted Newton iterate must stay
 strictly inside the radial domain and keep the principal curvatures
 inside the degree-k positivity cone with a configurable margin; the
 report carries the a priori bound monitors (radius range, gradient sup,
@@ -33,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .geometry import GeometryError, GeometryState, assemble, pointwise_geometry
@@ -63,14 +65,15 @@ class SolverOptions:
     """Newton, line-search and continuation settings.
 
     fd_step is the relative Jacobian step in jet-component space: each
-    raw jet component c moves by +-fd_step * (1 + |c|).
+    raw jet component c moves by +-fd_step * (1 + |c|).  homotopy_steps
+    sets the first continuation step to 1/homotopy_steps.
     """
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
     damping: float = 0.5
     max_backtracks: int = 30
-    homotopy_steps: int = 10
+    homotopy_steps: int = 1
     min_homotopy_step: float = 1e-4
     cone_margin: float = 1e-10
     fd_step: float = 1e-6
@@ -314,17 +317,10 @@ def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = 
 # ---------------------------------------------------------------------------
 # damped Newton
 
-def _in_domain(model: SpaceFormModel, values: np.ndarray) -> bool:
-    try:
-        model.check_domain(values)
-    except DomainError:
-        return False
-    return True
-
-
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  k: int, opts: Optional[SolverOptions] = None,
-                 report: Optional[SolveReport] = None, factor: Optional[Factor] = None):
+                 report: Optional[SolveReport] = None, factor: Optional[Factor] = None,
+                 full_first_step: bool = False):
     """Damped Newton iteration constrained to the admissibility cone.
 
     With a factor, each Newton system is solved against the LU it holds
@@ -335,6 +331,8 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     margin >= cone_margin, and strictly decreases the residual sup norm.
     Raises ConeBreach when no step length is even admissible and
     NoConvergence when budgets run out; both carry the partial report.
+    With full_first_step, NoConvergence is raised as soon as the first
+    step cannot be accepted at full length.
     """
     opts = opts or SolverOptions()
     report = report if report is not None else SolveReport()
@@ -347,7 +345,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     rnorm = float(np.abs(res).max())
     report.record(rnorm, state, margin)
 
-    for _ in range(opts.max_newton_iters):
+    for it in range(opts.max_newton_iters):
         if rnorm <= opts.newton_tol:
             report.converged = True
             report.message = "converged"
@@ -374,6 +372,9 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                     fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
                     accepted = True
                     break
+            if full_first_step and it == 0:
+                raise NoConvergence("the first Newton step needs damping",
+                                    field=fieldv, report=report)
             alpha *= opts.damping
         if not accepted:
             if not admissible_seen:
@@ -398,6 +399,34 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
 # ---------------------------------------------------------------------------
 # homotopy continuation
 
+# The radial start radius is resolved to a bracket this wide.
+RADIAL_XTOL = 1e-14
+
+
+def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in the bracket between a and b (fa * fb < 0).
+
+    Regula falsi with the Illinois modification: each time an end is kept
+    while the other moves, its value is halved, so both ends close in on
+    the root.  Each
+    secant point is kept at least RADIAL_XTOL / 2 inside the bracket, so a
+    root sitting at an end ends the search in one more evaluation instead
+    of creeping up on it; the bracket shrinks until it is RADIAL_XTOL wide.
+    """
+    while abs(b - a) > RADIAL_XTOL:
+        c = b - fb * (b - a) / (fb - fa)
+        c = min(max(c, min(a, b) + 0.5 * RADIAL_XTOL), max(a, b) - 0.5 * RADIAL_XTOL)
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if fc * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+    return b
+
+
 def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
                   k: int) -> float:
     """Radius r0 whose centered sphere solves the radial problem at the
@@ -418,7 +447,7 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
         if prev_g == 0.0:
             return float(prev_r)
         if prev_g * cur < 0.0:
-            return float(brentq(gap, prev_r, r, xtol=1e-14, rtol=8.9e-16))
+            return float(_illinois(gap, float(prev_r), float(r), prev_g, cur))
         prev_r, prev_g = r, cur
     raise NoConvergence("no radial start radius: the radial problem "
                         "C(n,k) q(r)^k = mean(psi) has no root in the domain")
@@ -431,13 +460,15 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     The start is the round-sphere-targeting family with exponent k + 2
     (strictly radially monotone) anchored at the radius solving the radial
     problem at the target's mean scale; the path is the convex blend with
-    the target, marched with adaptive step halving and Newton correction.
-    From the third stage on, Newton starts from the secant prediction
-    through the last two accepted solutions; it falls back to the last
-    solution when the prediction leaves the radial domain or Newton from it
-    breaches the cone.  A step that would end within min_homotopy_step of
-    t = 1 goes to 1, and a failed step is halved from the t it tried.
-    Every Newton solve of the continuation shares one Factor.
+    the target, marched by Newton correction from the last accepted
+    solution.  The first step is 1/homotopy_steps (by default the whole
+    path); a failed step is halved from the t it tried, and an accepted one
+    doubles the next, without a cap.  A step fails when its Newton solve
+    fails or cannot take its first step at full length: a start outside
+    the region where undamped Newton contracts can be led by damping to
+    another solution of the same equation, and in K = +1 it is.  A step
+    that would end within min_homotopy_step of t = 1 goes to 1.  Every
+    Newton solve of the continuation shares one Factor.
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
@@ -448,44 +479,28 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     factor = Factor()
 
     t = 0.0
-    dt_base = 1.0 / opts.homotopy_steps
-    dt = dt_base
+    dt = 1.0 / opts.homotopy_steps
     fieldv, sub = newton_solve(model, fieldv, psi0, k, opts, factor=factor)
     report.absorb(sub)
     report.homotopy_t.append(0.0)
-    prev = None
     while t < 1.0:
         t_next = min(t + dt, 1.0)
         if 1.0 - t_next < opts.min_homotopy_step:
             t_next = 1.0
         psi_t = psi0.blend(psi_target, t_next)
-        seeds = [fieldv]
-        if prev is not None:
-            t_prev, f_prev = prev
-            guess = fieldv.values + (t_next - t) / (t - t_prev) * (fieldv.values - f_prev)
-            if _in_domain(model, guess):
-                seeds = [ScalarField(grid, guess), fieldv]
-        cand = None
-        for seed in seeds:
-            try:
-                cand, sub = newton_solve(model, seed, psi_t, k, opts, factor=factor)
-                break
-            except ConeBreach:
-                continue
-            except NoConvergence:
-                break
-        if cand is None:
+        try:
+            fieldv, sub = newton_solve(model, fieldv, psi_t, k, opts, factor=factor,
+                                       full_first_step=True)
+        except NoConvergence:
             dt = 0.5 * (t_next - t)
             if dt < opts.min_homotopy_step:
                 report.message = f"homotopy stalled at t = {t!r}"
                 raise NoConvergence(report.message, field=fieldv, report=report) from None
             continue
-        prev = (t, fieldv.values)
-        fieldv = cand
         t = t_next
         report.absorb(sub)
         report.homotopy_t.append(t)
-        dt = min(dt * 2.0, dt_base)
+        dt *= 2.0
 
     report.converged = True
     report.message = "converged"

@@ -3,16 +3,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from starcurv.cli import main
 from starcurv.config import ConfigError, parse_config
-from starcurv.export import (field_from_node_table, read_node_table, read_report,
-                             write_mesh, write_node_table)
+from starcurv.export import (NODE_TABLE_HEADER, field_from_node_table, read_node_table,
+                             read_report, write_mesh, write_node_table)
 from starcurv.geometry import assemble
-from starcurv.grid import build_grid, constant_field
+from starcurv.grid import ScalarField, build_grid, constant_field
 from starcurv.solver import residual
 from starcurv.spaceform import spaceform
 
@@ -252,6 +253,76 @@ def test_mesh_writer_counts(tmp_path):
     lines = (tmp_path / "m.obj").read_text().splitlines()
     assert sum(1 for ln in lines if ln.startswith("v ")) == 8 * 16 + 2
     assert sum(1 for ln in lines if ln.startswith("f ")) == 7 * 16 + 2 * 16
+
+
+def _node_table_by_value(state, res) -> str:
+    # reference writer: one format call per value
+    tt, pp = state.grid.mesh()
+    cols = (tt, pp, state.rho, state.kappa1, state.kappa2, state.u, res)
+    flat = [np.asarray(c, dtype=float).ravel() for c in cols]
+    lines = [NODE_TABLE_HEADER]
+    for row in zip(*flat):
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _mesh_by_value(grid, rho) -> str:
+    # reference writer: one line and one format call per value, in a loop
+    nt, nphi = grid.shape
+    z, _, _ = grid.unit_vectors()
+    pts = rho[..., None] * z
+    lines = []
+    for i in range(nt):
+        for j in range(nphi):
+            x, y, w = pts[i, j]
+            lines.append(f"v {format(x, '.17g')} {format(y, '.17g')} {format(w, '.17g')}")
+    lines.append(f"v 0 0 {format(float(np.mean(rho[0])), '.17g')}")
+    lines.append(f"v 0 0 {format(-float(np.mean(rho[-1])), '.17g')}")
+    vid = lambda i, j: i * nphi + (j % nphi) + 1
+    north_id, south_id = nt * nphi + 1, nt * nphi + 2
+    for i in range(nt - 1):
+        for j in range(nphi):
+            lines.append(f"f {vid(i, j)} {vid(i + 1, j)} {vid(i + 1, j + 1)} {vid(i, j + 1)}")
+    for j in range(nphi):
+        lines.append(f"f {north_id} {vid(0, j)} {vid(0, j + 1)}")
+        lines.append(f"f {south_id} {vid(nt - 1, j + 1)} {vid(nt - 1, j)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_writers_match_per_value_formatting(tmp_path):
+    g = build_grid(8, 16)
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 1e16, -1e16, 1e-20, 1e20, 0.1, 1.0 / 3.0])
+
+    def column():
+        spread = 10.0 ** rng.uniform(-20.0, 20.0, g.n_nodes - special.size)
+        signs = rng.choice([-1.0, 1.0], spread.size)
+        return np.concatenate([special, signs * spread]).reshape(g.shape)
+
+    state = SimpleNamespace(grid=g, rho=column(), kappa1=column(), kappa2=column(),
+                            u=column())
+    res = column()
+    write_node_table(tmp_path / "nodes.csv", state, res)
+    assert (tmp_path / "nodes.csv").read_text() == _node_table_by_value(state, res)
+    write_mesh(tmp_path / "m.obj", g, state.rho)
+    assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, state.rho)
+
+    m = spaceform(0)
+    f = ScalarField(g, 1.0 + 0.05 * rng.standard_normal(g.shape))
+    state = assemble(m, f)
+    res = residual(m, f, None, 2).values
+    write_node_table(tmp_path / "nodes.csv", state, res)
+    assert (tmp_path / "nodes.csv").read_text() == _node_table_by_value(state, res)
+    write_mesh(tmp_path / "m.obj", g, f.values)
+    assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, f.values)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    code = "import sys, starcurv.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_solve_exit_3_writes_last_good_state(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -208,10 +207,10 @@ def test_continuity_solve_anisotropic(grid16):
     assert np.isfinite(report.kappa_max[-1])
     # non-round solution
     assert fieldv.values.max() - fieldv.values.min() > 1e-2
-    # the secant predictor saves Newton steps: 21 over 10 stages, against
-    # 30 when each stage starts from the previous solution
-    assert report.iterations < 3 * (len(report.homotopy_t) - 1)
-    assert report.iterations <= 21
+    # the full step goes first and damped Newton reaches t = 1 from the
+    # radial start in one stage
+    assert report.homotopy_t == [0.0, 1.0]
+    assert report.iterations <= 6
 
 
 def test_uniqueness_probe_round(grid16):
@@ -274,12 +273,12 @@ def test_jacobian_and_continuation_repeat_runs_bitwise(grid16):
     assert np.array_equal(J1.data, J2.data)
     base = builtin(m, "round_target", r_bar=1.0, m=4.0)
     target = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
-    opts = SolverOptions(newton_tol=1e-11, homotopy_steps=2)
-    (f1, rep1), (f2, rep2) = (continuity_solve(m, grid16, target, 2, opts)
-                              for _ in range(2))
-    assert np.array_equal(f1.values, f2.values)
-    assert rep1.residual_trace == rep2.residual_trace
-    assert rep1.homotopy_t == rep2.homotopy_t
+    for opts in (TIGHT, SolverOptions(newton_tol=1e-11, homotopy_steps=2)):
+        (f1, rep1), (f2, rep2) = (continuity_solve(m, grid16, target, 2, opts)
+                                  for _ in range(2))
+        assert np.array_equal(f1.values, f2.values)
+        assert rep1.residual_trace == rep2.residual_trace
+        assert rep1.homotopy_t == rep2.homotopy_t
 
 
 def test_singular_jacobian_raises_no_convergence(monkeypatch):
@@ -364,51 +363,101 @@ def _aniso_target(m):
 
 
 def test_continuity_default_steps_end_exactly_at_one(grid16):
-    # ten steps of 0.1 sum to 0.9999999999999999; the last step snaps to 1
-    # instead of adding an eleventh stage from there
+    # homotopy_steps = 10 sets the first step only: each accepted step
+    # doubles the next, with no cap at 1/homotopy_steps, and the last one
+    # is cut to end exactly at 1
     m = spaceform(0)
-    _, report = continuity_solve(m, grid16, _aniso_target(m), 2)
-    assert len(report.homotopy_t) == 11
+    opts = SolverOptions(newton_tol=1e-11, homotopy_steps=10)
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, opts)
+    assert report.homotopy_t == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0], abs=1e-15)
+    assert report.homotopy_t[-1] == 1.0
+    # 0.3 + 0.4 ends 0.3 short of 1, within min_homotopy_step: that step
+    # snaps to 1 instead of leaving a last stage from 0.7
+    opts = SolverOptions(newton_tol=1e-11, homotopy_steps=10, min_homotopy_step=0.35)
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, opts)
+    assert report.homotopy_t == pytest.approx([0.0, 0.1, 0.3, 1.0], abs=1e-15)
     assert report.homotopy_t[-1] == 1.0
 
 
-@pytest.mark.parametrize("reject", ["domain", "cone"])
-def test_continuity_predictor_falls_back_to_previous_solution(grid16, monkeypatch, reject):
-    # a prediction outside the radial domain, or one from which Newton
-    # breaches the cone, is dropped: the stage restarts from the previous
-    # solution at the same t and converges to the same field.  Every
-    # prediction is rejected here, so every stage starts from the previous
-    # solution, as before the predictor
-    m = spaceform(0)
-    target = _aniso_target(m)
-    f_pred, rep_pred = continuity_solve(m, grid16, target, 2, TIGHT)
+@pytest.mark.parametrize("K,r_bar", [(-1, 2.0), (1, 1.3), (1, 1.45)])
+def test_continuity_hard_targets_take_the_full_step(K, r_bar, grid16):
+    # a large sphere in H^3, and spheres next to the pi/2 cap of S^3,
+    # still converge from the radial start in the one stage to t = 1
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    _, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert report.converged
+    assert report.homotopy_t == [0.0, 1.0]
+    assert min(report.cone_margin) >= TIGHT.cone_margin
 
-    real_newton, real_in_domain = solver.newton_solve, solver._in_domain
-    solved, predicted = [], []
+
+@pytest.mark.parametrize("K,r_bar,epsilon", [(-1, 1.0, 0.2), (0, 1.0, 0.2), (1, 0.8, 0.2),
+                                             (0, 1.0, 0.9), (1, 0.8, 0.24)])
+def test_continuity_full_step_matches_ten_steps(K, r_bar, epsilon, grid16):
+    # K = +1, r_bar = 0.8, epsilon = 0.24 has a second solution, and a
+    # damped Newton solve from the radial start straight at t = 1 ends on
+    # it (rho in [0.78, 0.92] instead of [0.67, 0.78])
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=epsilon, axis=(0.0, 0.0, 1.0))
+    f_one, rep_one = continuity_solve(m, grid16, psi, 2, TIGHT)
+    ten = SolverOptions(newton_tol=TIGHT.newton_tol, homotopy_steps=10)
+    f_ten, rep_ten = continuity_solve(m, grid16, psi, 2, ten)
+    assert rep_one.converged and rep_ten.converged
+    assert np.abs(f_one.values - f_ten.values).max() < 1e-10
+
+
+def test_continuity_rejects_a_stage_whose_first_newton_step_is_damped(grid16, monkeypatch):
+    # from the radial start the first Newton step towards t = 1, and then
+    # towards t = 0.5, needs damping: both stages are rejected unsolved,
+    # each after one trial step, and the path goes on from t = 0.25
+    m = spaceform(1)
+    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
+    outcomes = []
+    real_newton = solver.newton_solve
 
     def newton(model, rho0, psi, k, opts=None, report=None, **kw):
-        if solved and rho0 is not solved[-1]:
-            predicted.append(psi.params["t"])
-            raise ConeBreach("rejected prediction", field=rho0)
-        out = real_newton(model, rho0, psi, k, opts, report, **kw)
-        solved.append(out[0])
+        try:
+            out = real_newton(model, rho0, psi, k, opts, report, **kw)
+        except NoConvergence as exc:
+            outcomes.append((psi.params.get("t"), str(exc), exc.report.iterations))
+            raise
+        outcomes.append((psi.params.get("t"), "converged", out[1].iterations))
         return out
 
-    def in_domain(model, values):
-        if sys._getframe(1).f_code.co_name == "continuity_solve":
-            return False
-        return real_in_domain(model, values)
-
     monkeypatch.setattr(solver, "newton_solve", newton)
-    if reject == "domain":
-        monkeypatch.setattr(solver, "_in_domain", in_domain)
-    f_prev, rep_prev = continuity_solve(m, grid16, target, 2, TIGHT)
-    assert rep_prev.converged
-    assert rep_prev.homotopy_t == rep_pred.homotopy_t
-    assert len(solved) == len(rep_prev.homotopy_t)
-    assert predicted == (rep_pred.homotopy_t[2:] if reject == "cone" else [])
-    assert rep_prev.iterations > rep_pred.iterations
-    assert np.abs(f_prev.values - f_pred.values).max() < 1e-10
+    _, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert outcomes[1:4] == [(1.0, "the first Newton step needs damping", 0),
+                             (0.5, "the first Newton step needs damping", 0),
+                             (0.25, "converged", outcomes[3][2])]
+    assert report.converged
+    assert report.homotopy_t[:2] == [0.0, 0.25]
+    with pytest.raises(NoConvergence, match="first Newton step needs damping"):
+        real_newton(m, constant_field(grid16, report.rho_max[0]), psi, 2, TIGHT,
+                    full_first_step=True)
+
+
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8), (1, 1.45)])
+def test_radial_start_matches_brentq(K, r_bar, grid16, monkeypatch):
+    # the Illinois iteration finds brentq's root on the bracket of the scan
+    from scipy.optimize import brentq
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    brackets = []
+    real_illinois = solver._illinois
+
+    def illinois(f, a, b, fa, fb):
+        brackets.append((f, a, b))
+        return real_illinois(f, a, b, fa, fb)
+
+    monkeypatch.setattr(solver, "_illinois", illinois)
+    r0 = solver._radial_start(m, grid16, psi, 2)
+    (gap, a, b), = brackets
+    ref = brentq(gap, a, b, xtol=1e-14, rtol=8.9e-16)
+    assert abs(r0 - ref) <= 1e-13 * ref
 
 
 def test_continuity_failed_stage_is_not_repeated(grid16, monkeypatch):
@@ -434,6 +483,10 @@ def test_continuity_failed_stage_is_not_repeated(grid16, monkeypatch):
     assert report.homotopy_t[-1] == 1.0
     assert attempts.count(1.0) == 2
     assert all(a != b for a, b in zip(attempts, attempts[1:]))
+    # the full step fails, its half succeeds, and the doubled step after it
+    # reaches t = 1: growth is not capped at the step that last succeeded
+    assert attempts == [1.0, 0.5, 1.0]
+    assert report.homotopy_t == [0.0, 0.5, 1.0]
 
 
 def test_linear_solve_residual_64x128():
@@ -517,8 +570,8 @@ def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16, mon
     f_reuse, rep_reuse = continuity_solve(m, grid16, psi, 2, TIGHT)
     real_newton = solver.newton_solve
 
-    def fresh(model, rho0, psi, k, opts=None, report=None, factor=None):
-        return real_newton(model, rho0, psi, k, opts, report)
+    def fresh(model, rho0, psi, k, opts=None, report=None, factor=None, **kw):
+        return real_newton(model, rho0, psi, k, opts, report, **kw)
 
     monkeypatch.setattr(solver, "newton_solve", fresh)
     f_fresh, rep_fresh = continuity_solve(m, grid16, psi, 2, TIGHT)
