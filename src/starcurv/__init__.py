@@ -5,14 +5,12 @@ spaces."""
 from .config import ConfigError, RunConfig, parse_config
 from .geometry import (GeometryError, GeometryState, assemble,
                        codazzi_residual, hessian_identity_residual,
-                       starshape_margin, support_gradient_residual,
-                       support_hessian_residual)
+                       support_gradient_residual, support_hessian_residual)
 from .grid import (CovariantJet, ScalarField, SphereGrid, build_grid,
                    constant_field, covariant_jet, field_from_function,
                    refinement_order)
 from .prescription import (ConditionReport, Prescription, builtin,
-                           check_barriers, check_monotonicity,
-                           directional_derivatives, smoothness_probe)
+                           check_barriers, check_monotonicity)
 from .solver import (ConeBreach, NoConvergence, SolveReport, SolverOptions,
                      continuity_solve, jacobian, newton_solve, residual,
                      uniqueness_probe)
@@ -25,13 +23,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "RunConfig", "parse_config",
     "GeometryError", "GeometryState", "assemble", "codazzi_residual",
-    "hessian_identity_residual", "starshape_margin",
-    "support_gradient_residual", "support_hessian_residual",
+    "hessian_identity_residual", "support_gradient_residual",
+    "support_hessian_residual",
     "CovariantJet", "ScalarField", "SphereGrid", "build_grid",
     "constant_field", "covariant_jet", "field_from_function",
     "refinement_order",
     "ConditionReport", "Prescription", "builtin", "check_barriers",
-    "check_monotonicity", "directional_derivatives", "smoothness_probe",
+    "check_monotonicity",
     "ConeBreach", "NoConvergence", "SolveReport", "SolverOptions",
     "continuity_solve", "jacobian", "newton_solve", "residual",
     "uniqueness_probe",

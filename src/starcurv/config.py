@@ -13,8 +13,9 @@ The format is one dotted key per line, `#` comments, blank lines ignored:
     barriers.R2 = 1.8
     outputs.node_table_path = nodes.csv
 
-Unknown keys are rejected so typos fail loudly.  Output paths resolve
-relative to the config file's directory.
+Unknown keys, and psi.* keys the chosen family does not read, are
+rejected so typos fail loudly.  Output paths resolve relative to the
+config file's directory.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ class ConfigError(ValueError):
 _MODEL_KEYS = {"model.K", "model.domain_cap"}
 _GRID_KEYS = {"grid.n_theta", "grid.n_phi"}
 _PROBLEM_KEYS = {"problem.k"}
-_PSI_KEYS = {"psi.family", "psi.c", "psi.m", "psi.r_bar", "psi.epsilon",
-             "psi.base_family", "psi.axis_x", "psi.axis_y", "psi.axis_z"}
+# The psi.* keys each base family reads; anisotropic adds _ANISO_KEYS.
+_FAMILY_KEYS = {"constant": ("c",), "radial_power": ("c", "m"),
+                "round_target": ("r_bar", "m")}
+_ANISO_KEYS = ("base_family", "epsilon", "axis_x", "axis_y", "axis_z")
+_PSI_KEYS = {"psi.family", *(f"psi.{name}" for names in (*_FAMILY_KEYS.values(), _ANISO_KEYS)
+                             for name in names)}
 _SOLVER_KEYS = {"solver.newton_tol", "solver.max_newton_iters", "solver.damping",
                 "solver.max_backtracks", "solver.homotopy_steps",
                 "solver.min_homotopy_step", "solver.cone_margin", "solver.fd_step",
@@ -112,29 +117,28 @@ def _to_bool(raw: str) -> bool:
 
 def _build_psi(entries: dict, model: SpaceFormModel, k: int) -> Prescription:
     family = _get(entries, "psi.family", str, required=True)
-
-    def family_params(fam: str) -> dict:
-        if fam == "constant":
-            return {"c": _get(entries, "psi.c", float, required=True)}
-        if fam == "radial_power":
-            return {"c": _get(entries, "psi.c", float, required=True),
-                    "m": _get(entries, "psi.m", float, required=True)}
-        if fam == "round_target":
-            return {"r_bar": _get(entries, "psi.r_bar", float, required=True),
-                    "m": _get(entries, "psi.m", float, required=True)}
-        raise ConfigError(f"unknown prescription family {fam!r}")
+    aniso = family == "anisotropic"
+    base_family = _get(entries, "psi.base_family", str, required=True) if aniso else family
+    if base_family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown prescription family {base_family!r}")
+    read = {"family", *_FAMILY_KEYS[base_family], *(_ANISO_KEYS if aniso else ())}
+    unread = sorted(key for key in entries
+                    if key.startswith("psi.") and key.removeprefix("psi.") not in read)
+    if unread:
+        raise ConfigError(f"psi.family = {family} does not read {', '.join(unread)}")
+    params = {name: _get(entries, f"psi.{name}", float, required=True)
+              for name in _FAMILY_KEYS[base_family]}
 
     try:
-        if family == "anisotropic":
-            base_family = _get(entries, "psi.base_family", str, required=True)
-            base = builtin(model, base_family, k=k, n=2, **family_params(base_family))
-            axis = (_get(entries, "psi.axis_x", float, default=0.0),
-                    _get(entries, "psi.axis_y", float, default=0.0),
-                    _get(entries, "psi.axis_z", float, default=1.0))
-            eps = _get(entries, "psi.epsilon", float, required=True)
-            return builtin(model, "anisotropic", k=k, n=2,
-                           base=base, epsilon=eps, axis=axis)
-        return builtin(model, family, k=k, n=2, **family_params(family))
+        base = builtin(model, base_family, k=k, n=2, **params)
+        if not aniso:
+            return base
+        axis = (_get(entries, "psi.axis_x", float, default=0.0),
+                _get(entries, "psi.axis_y", float, default=0.0),
+                _get(entries, "psi.axis_z", float, default=1.0))
+        eps = _get(entries, "psi.epsilon", float, required=True)
+        return builtin(model, "anisotropic", k=k, n=2,
+                       base=base, epsilon=eps, axis=axis)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise

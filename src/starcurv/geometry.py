@@ -2,9 +2,9 @@
 
 From a height field rho the hypersurface {(z, rho(z))} inherits, per node:
 the induced metric g, its inverse, the second fundamental form h taken
-with respect to the outward normal, the symmetric shape matrix
-b = g^{-1/2} h g^{-1/2}, its eigenvalues (the principal curvatures), the
-support function u, and the chart-embedded unit normal.  Component
+with respect to the outward normal, the principal curvatures (the
+eigenvalues of the Weingarten map g^{-1} h), the support function u, and
+the chart-embedded unit normal.  Component
 conventions: symmetric 2x2 tensors are stored as the (tt, tp, pp) triple
 of coordinate components on the (theta, phi) chart.
 
@@ -46,9 +46,6 @@ class GeometryState:
     h_tt: np.ndarray
     h_tp: np.ndarray
     h_pp: np.ndarray
-    b_tt: np.ndarray
-    b_tp: np.ndarray
-    b_pp: np.ndarray
     kappa1: np.ndarray              # larger principal curvature
     kappa2: np.ndarray
     u: np.ndarray                   # support function
@@ -76,7 +73,6 @@ def assemble(model: SpaceFormModel, field: ScalarField, order: int = 2) -> Geome
     induced metric fails to be positive definite (a symptom of a broken
     input field, not of an inadmissible but valid geometry).
     """
-    model.check_domain(field.values)
     return pointwise_geometry(model, field.grid, covariant_jet(field, order=order))
 
 
@@ -117,27 +113,17 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     for arr in (h_tt, h_tp, h_pp):
         _screen_finite(g, "second fundamental form", arr)
 
-    # Symmetric inverse square root of g, closed form for SPD 2x2:
-    # sqrt(g) = (g + sqrt(det g) I) / t with t = sqrt(tr g + 2 sqrt(det g)),
-    # so    g^{-1/2} = adj(g + sqrt(det g) I) / (sqrt(det g) t).
-    s = np.sqrt(det_g)
-    t = np.sqrt(g_tt + g_pp + 2.0 * s)
-    denom = s * t
-    gam_tt = (g_pp + s) / denom
-    gam_tp = -g_tp / denom
-    gam_pp = (g_tt + s) / denom
+    # Weingarten map A = g^{-1} h; its eigenvalues are real because g is
+    # positive definite and h symmetric.
+    a_11 = ginv_tt * h_tt + ginv_tp * h_tp
+    a_12 = ginv_tt * h_tp + ginv_tp * h_pp
+    a_21 = ginv_tp * h_tt + ginv_pp * h_tp
+    a_22 = ginv_tp * h_tp + ginv_pp * h_pp
+    for arr in (a_11, a_12, a_21, a_22):
+        _screen_finite(g, "shape operator", arr)
 
-    ah_11 = gam_tt * h_tt + gam_tp * h_tp
-    ah_12 = gam_tt * h_tp + gam_tp * h_pp
-    ah_21 = gam_tp * h_tt + gam_pp * h_tp
-    ah_22 = gam_tp * h_tp + gam_pp * h_pp
-    b_tt = ah_11 * gam_tt + ah_12 * gam_tp
-    b_pp = ah_21 * gam_tp + ah_22 * gam_pp
-    b_tp = 0.5 * ((ah_11 * gam_tp + ah_12 * gam_pp) + (ah_21 * gam_tt + ah_22 * gam_tp))
-    _screen_finite(g, "shape matrix", b_tp)
-
-    mean = 0.5 * (b_tt + b_pp)
-    disc = np.sqrt(np.maximum((0.5 * (b_tt - b_pp)) ** 2 + b_tp * b_tp, 0.0))
+    mean = 0.5 * (a_11 + a_22)
+    disc = np.sqrt(np.maximum((0.5 * (a_11 - a_22)) ** 2 + a_12 * a_21, 0.0))
     kappa1 = mean + disc
     kappa2 = mean - disc
 
@@ -153,13 +139,7 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
                          g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
                          ginv_tt=ginv_tt, ginv_tp=ginv_tp, ginv_pp=ginv_pp,
                          h_tt=h_tt, h_tp=h_tp, h_pp=h_pp,
-                         b_tt=b_tt, b_tp=b_tp, b_pp=b_pp,
                          kappa1=kappa1, kappa2=kappa2, u=u, nu=nu)
-
-
-def starshape_margin(state: GeometryState) -> float:
-    """Minimum of the support function; positive certifies strict starshape."""
-    return float(state.u.min())
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import STENCILS, build_grid, stencil_sum
-from .spaceform import DomainError, SpaceFormModel
+from .spaceform import SpaceFormModel
 
 FAMILIES = ("constant", "radial_power", "round_target", "anisotropic")
 
@@ -165,13 +165,6 @@ class ConditionReport:
                  if f is not None]
         return bool(flags) and all(flags)
 
-    def merged_with(self, other: "ConditionReport") -> "ConditionReport":
-        out = ConditionReport(**self.__dict__)
-        for key, val in other.__dict__.items():
-            if val is not None and getattr(out, key) in (None, 0):
-                setattr(out, key, val)
-        return out
-
 
 def check_barriers(psi: Prescription, model: SpaceFormModel, R1: float, R2: float,
                    n_theta: int = 16, n_phi: int = 32) -> ConditionReport:
@@ -248,63 +241,3 @@ def check_monotonicity(psi: Prescription, model: SpaceFormModel,
         monotone_max_derivative=worst,
         monotone_tol=tol,
         monotone_samples=int(deriv.size))
-
-
-def _tangent_basis(nu: np.ndarray):
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(nu)))] = 1.0
-    t1 = axis - (axis @ nu) * nu
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(nu, t1)
-    return t1, t2
-
-
-def directional_derivatives(psi: Prescription, z, rho: float, nu,
-                            rho_step: Optional[float] = None,
-                            nu_step: float = 1e-6):
-    """Centered-difference partials of psi at one point.
-
-    Returns (d psi / d rho, tangential gradient of psi in nu) where the
-    normal gradient is a 3-vector orthogonal to nu, built from central
-    differences along two renormalized tangent perturbations.
-    """
-    z = np.asarray(z, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    rho = float(rho)
-    h = rho_step if rho_step is not None else 1e-6 * (1.0 + abs(rho))
-    if psi.model is not None:
-        a = psi.model.a
-        lo_ok = rho - h > 0.0
-        hi = a - 1e-12 if psi.model.K == 1 else a
-        if not (lo_ok and rho + h < hi):
-            raise DomainError(
-                f"finite-difference step {h!r} underflows the domain at rho={rho!r}")
-    d_rho = float(psi(z, rho + h, nu) - psi(z, rho - h, nu)) / (2.0 * h)
-
-    t1, t2 = _tangent_basis(nu)
-    grad = np.zeros(3)
-    for t in (t1, t2):
-        p_plus = nu + nu_step * t
-        p_plus /= np.linalg.norm(p_plus)
-        p_minus = nu - nu_step * t
-        p_minus /= np.linalg.norm(p_minus)
-        slope = float(psi(z, rho, p_plus) - psi(z, rho, p_minus)) / (2.0 * nu_step)
-        grad += slope * t
-    return d_rho, grad
-
-
-def smoothness_probe(psi: Prescription, z, rho: float, nu,
-                     steps=(1e-2, 5e-3)) -> float:
-    """Relative agreement of second radial differences at two step sizes.
-
-    Near 0 for twice continuously differentiable prescriptions; order-one
-    values flag a kink in the sampled region.
-    """
-    z = np.asarray(z, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    second = []
-    for h in steps:
-        vals = [float(psi(z, rho + s * h, nu)) for s in (-1, 0, 1)]
-        second.append((vals[0] - 2.0 * vals[1] + vals[2]) / h**2)
-    scale = max(1.0, abs(second[1]))
-    return abs(second[0] - second[1]) / scale

@@ -51,17 +51,25 @@ class SpaceFormModel:
     a: float
 
     def check_domain(self, rho, allow_zero: bool = False) -> None:
-        """Raise DomainError unless every entry of rho lies in (0, a)."""
+        """Raise DomainError unless every entry of rho lies in (0, a).
+
+        The passing path is one min and one max reduction: NaN fails both
+        comparisons, so non-finite radii fall through to the failure path.
+        """
         r = np.asarray(rho, dtype=float)
+        if r.size == 0:
+            return
+        lo, top = r.min(), r.max()
+        lo_ok = lo >= 0.0 if allow_zero else lo > 0.0
+        hi = self.a - SPHERE_CAP_GUARD if self.K == 1 else self.a
+        if lo_ok and top < hi:
+            return
         if not np.all(np.isfinite(r)):
             raise DomainError("radius contains non-finite values")
-        lo_ok = r >= 0.0 if allow_zero else r > 0.0
-        hi = self.a - SPHERE_CAP_GUARD if self.K == 1 else self.a
-        if not (np.all(lo_ok) and np.all(r < hi)):
-            bad = float(r.min()) if not np.all(lo_ok) else float(r.max())
-            raise DomainError(
-                f"radius {bad!r} outside admissible interval (0, {hi!r}) for K={self.K}"
-            )
+        bad = float(top) if lo_ok else float(lo)
+        raise DomainError(
+            f"radius {bad!r} outside admissible interval (0, {hi!r}) for K={self.K}"
+        )
 
     def _warp_parts(self, rho, parts, allow_zero: bool = False) -> list:
         """The warp formulas numbered in parts, at rho, behind one domain check."""
@@ -92,15 +100,8 @@ class SpaceFormModel:
         Equals warp_deriv/warp: 1/rho, cot(rho), or coth(rho).  Strictly
         decreasing on (0, a) for every K.
         """
-        self.check_domain(rho)
-        r = np.asarray(rho, dtype=float)
-        if self.K == 0:
-            out = 1.0 / r
-        elif self.K == 1:
-            out = np.cos(r) / np.sin(r)
-        else:
-            out = np.cosh(r) / np.sinh(r)
-        return out if out.ndim else float(out)
+        phi, dphi = self._warp_parts(rho, (0, 1))
+        return dphi / phi
 
 
 def spaceform(K: int, domain_cap: float = DEFAULT_DOMAIN_CAP) -> SpaceFormModel:

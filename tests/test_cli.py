@@ -247,6 +247,33 @@ def test_check_config_errors_exit_2(tmp_path, capsys, extra):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+CONSTANT_WITH_ANISO_KEYS = ROUND_CFG + "psi.epsilon = 0.2\npsi.axis_x = 1.0\npsi.m = 4.0\npsi.r_bar = 1.0\n"
+
+
+def test_parse_config_rejects_psi_keys_the_family_does_not_read(tmp_path):
+    cfg = write_cfg(tmp_path / "run.cfg", CONSTANT_WITH_ANISO_KEYS)
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    msg = str(info.value)
+    for key in ("psi.axis_x", "psi.epsilon", "psi.m", "psi.r_bar"):
+        assert key in msg
+    assert "psi.c" not in msg
+    # the base family's keys plus the anisotropic ones are all read
+    aniso = ROUND_CFG.replace("psi.family = constant",
+                              "psi.family = anisotropic\npsi.base_family = constant")
+    parse_config(write_cfg(tmp_path / "aniso.cfg", aniso + "psi.epsilon = 0.2\npsi.axis_x = 1.0\n"))
+    with pytest.raises(ConfigError, match="psi.r_bar"):
+        parse_config(write_cfg(tmp_path / "extra.cfg", aniso + "psi.epsilon = 0.2\npsi.r_bar = 1.0\n"))
+
+
+def test_solve_with_unread_psi_keys_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "run.cfg", CONSTANT_WITH_ANISO_KEYS)
+    assert main(["solve", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "psi.epsilon" in err
+    assert not (tmp_path / "nodes.csv").exists()
+
+
 def test_mesh_writer_counts(tmp_path):
     g = build_grid(8, 16)
     write_mesh(tmp_path / "m.obj", g, np.ones(g.shape))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from starcurv.prescription import (ConditionReport, builtin, check_barriers,
-                                   check_monotonicity, directional_derivatives,
-                                   smoothness_probe)
+                                   check_monotonicity)
 from starcurv.spaceform import DomainError, spaceform
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -171,58 +170,14 @@ def test_monotonicity_spherical_model():
     assert rep.monotone_max_derivative == pytest.approx(np.sin(2 * rs).max(), abs=1e-10)
 
 
-def test_directional_derivatives_constant():
-    m = spaceform(0)
-    psi = builtin(m, "constant", c=1.0)
-    d_rho, grad = directional_derivatives(psi, Z, 1.0, Z)
-    assert abs(d_rho) < 1e-9
-    assert np.linalg.norm(grad) < 1e-9
-
-
-def test_directional_derivatives_radial_power():
-    m = spaceform(0)
-    psi = builtin(m, "radial_power", c=1.0, m=4.0)
-    d_rho, grad = directional_derivatives(psi, Z, 1.0, Z)
-    assert d_rho == pytest.approx(-4.0, rel=1e-6)
-    assert np.linalg.norm(grad) < 1e-9
-
-
-def test_directional_derivatives_anisotropic():
-    m = spaceform(0)
-    base = builtin(m, "constant", c=1.0)
-    psi = builtin(m, "anisotropic", base=base, epsilon=0.1, axis=(0, 0, 1.0))
-    nu = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    d_rho, grad = directional_derivatives(psi, Z, 1.0, nu)
-    axis = np.array([0.0, 0.0, 1.0])
-    tangential = axis - (axis @ nu) * nu
-    assert abs(d_rho) < 1e-9
-    assert np.linalg.norm(grad) == pytest.approx(0.1 * np.linalg.norm(tangential), rel=1e-6)
-    # the reported gradient is tangential to the normal sphere
-    assert abs(grad @ nu) < 1e-8
-
-
-def test_directional_derivatives_domain_guard():
-    m = spaceform(1)
-    psi = builtin(m, "constant", c=1.0)
-    with pytest.raises(DomainError):
-        directional_derivatives(psi, Z, math.pi / 2 - 1e-9, Z)
-
-
-def test_smoothness_probe_on_smooth_family():
-    m = spaceform(0)
-    psi = builtin(m, "radial_power", c=1.0, m=4.0)
-    assert smoothness_probe(psi, Z, 1.0, Z) < 1e-3
-
-
 def test_condition_report_merge_and_all_ok():
     a = ConditionReport(barrier_low_ok=True, barrier_high_ok=True,
                         barrier_low_margin=0.5, barrier_high_margin=0.1,
                         barrier_samples=128, R1=1.0, R2=2.0)
-    b = ConditionReport(monotone_ok=False, monotone_max_derivative=0.3,
-                        monotone_samples=64)
-    merged = a.merged_with(b)
-    assert merged.barrier_low_ok and not merged.monotone_ok
-    assert not merged.all_ok
+    mixed = ConditionReport(barrier_low_ok=True, barrier_high_ok=True,
+                            monotone_ok=False, monotone_max_derivative=0.3,
+                            monotone_samples=64)
+    assert not mixed.all_ok
     assert a.all_ok
     assert not ConditionReport().all_ok
 

@@ -55,6 +55,19 @@ def test_domain_rejection(K):
         with pytest.raises(DomainError):
             m.warp(math.pi / 2 - 1e-13)
         m.warp(math.pi / 2 - 1e-6)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            m.check_domain(np.array([0.5, bad, 0.7]))
+        with pytest.raises(DomainError, match="non-finite"):
+            m.check_domain(bad, allow_zero=True)
+    with pytest.raises(DomainError, match=r"radius -0\.3 outside"):
+        m.check_domain(np.array([0.5, -0.3]))
+    with pytest.raises(DomainError, match=rf"radius {m.a!r} outside"):
+        m.check_domain(np.array([0.5, m.a]))
+    # empty input has no radius outside the interval
+    m.check_domain(np.array([]))
+    m.check_domain(np.zeros((0, 3)))
+    m.check_domain(0.0, allow_zero=True)
 
 
 def test_bad_construction():
