@@ -222,9 +222,13 @@ def jet_from_partials(grid: SphereGrid, v, ft, fp, ftt, ftp, fpp) -> CovariantJe
     st, ct = grid.sin_t, grid.cos_t
     hess_tp = ftp - (ct / st) * fp
     hess_pp = fpp + st * ct * ft
-    grad_sq = ft * ft + (fp / st) ** 2
     return CovariantJet(value=v, d_t=ft, d_p=fp, hess_tt=ftt,
-                        hess_tp=hess_tp, hess_pp=hess_pp, grad_sq=grad_sq)
+                        hess_tp=hess_tp, hess_pp=hess_pp, grad_sq=grad_sq(grid, ft, fp))
+
+
+def grad_sq(grid: SphereGrid, ft, fp):
+    """The invariant e^{ij} f_i f_j = f_t^2 + (f_p / sin(theta))^2 of raw partials."""
+    return ft * ft + (fp / grid.sin_t) ** 2
 
 
 def covariant_jet(field: ScalarField, order: int = 2) -> CovariantJet:
@@ -250,7 +254,8 @@ class JetStencils:
     row-wise data of the matrix D_c with D_c @ f.ravel() == the raw
     partial c of a scalar f (JET_COMPONENTS order), so a linear
     combination of the D_c is a combination of their weight arrays on the
-    same pattern.
+    same pattern.  Raw partials have the same stencil at every node, so
+    all rows of weights[c] are one 9-vector, most of it zeros.
     """
 
     indptr: np.ndarray

@@ -5,23 +5,25 @@ minus the prescription evaluated at (z, rho, nu).  That residual reads rho
 only through the node's 2-jet (value, first and second partials), so the
 Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
 six raw jet components c, with D_c the grid's fixed stencil matrices
-(cross-pole ghosting folded in) and dF/dc central differences of the
-stencil-free pointwise residual.  That pattern is structurally symmetric,
-so J is factored with the minimum-degree ordering of J^T + J (SuperLU's
-MMD_AT_PLUS_A), which fills in about half as much as the default COLAMD.
-A continuation keeps one LU alive across all its Newton steps and stages:
-the curvatures stay bounded along the homotopy, so J drifts little, and
-each Newton system is solved by iterative refinement against the LU of an
-earlier J.  J is factored again only when that refinement stops
-contracting.  The continuation tries the whole path t = 0 -> 1 in one
-step first, halves a step that fails (including one whose first Newton
-step needs damping) and doubles the next one after a step that
-succeeds.  Every accepted Newton iterate must stay
-strictly inside the radial domain and keep the principal curvatures
-inside the degree-k positivity cone with a configurable margin; the
-report carries the a priori bound monitors (radius range, gradient sup,
-largest curvature, support minimum, cone margin) for every accepted
-iterate.
+(cross-pole ghosting folded in).  dF/dc is closed form for sigma_k, the
+linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
+through the jet's entries of g and h, and a central difference for the
+prescription, in the three components rho and nu read.  That pattern is
+structurally symmetric, so J is factored with the minimum-degree ordering
+of J^T + J (SuperLU's MMD_AT_PLUS_A), which fills in about half as much
+as the default COLAMD.  A continuation keeps one LU alive across all its
+Newton steps and stages: the curvatures stay bounded along the homotopy,
+so J drifts little, and each Newton system is solved by iterative
+refinement against the LU of an earlier J.  J is factored again as soon
+as the refinement's observed contraction cannot reach its tolerance
+within its sweep budget.  The continuation tries the whole path
+t = 0 -> 1 in one step first, halves a step that fails (including one
+whose first Newton step needs damping) and doubles the next one after a
+step that succeeds.  Every accepted Newton iterate must stay strictly
+inside the radial domain and keep the principal curvatures inside the
+degree-k positivity cone with a configurable margin; the report carries
+the a priori bound monitors (radius range, gradient sup, largest
+curvature, support minimum, cone margin) for every accepted iterate.
 
 Runs are serial and deterministic: given identical inputs and options
 the iterate sequence is bitwise reproducible.
@@ -38,12 +40,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .geometry import GeometryError, GeometryState, assemble, pointwise_geometry
-from .grid import (ScalarField, SphereGrid, constant_field, jet_from_partials,
+from .geometry import (GeometryError, GeometryState, assemble, pointwise_geometry,
+                       unit_normal)
+from .grid import (ScalarField, SphereGrid, constant_field, grad_sq, jet_from_partials,
                    jet_stencils, raw_jet)
 from .prescription import Prescription, builtin
 from .spaceform import DomainError, SpaceFormModel
-from .symfunc import sigma, sigma_all
+from .symfunc import sigma_all
 
 
 class NoConvergence(RuntimeError):
@@ -64,9 +67,10 @@ class ConeBreach(NoConvergence):
 class SolverOptions:
     """Newton, line-search and continuation settings.
 
-    fd_step is the relative Jacobian step in jet-component space: each
-    raw jet component c moves by +-fd_step * (1 + |c|).  homotopy_steps
-    sets the first continuation step to 1/homotopy_steps.
+    fd_step is the relative step of the Jacobian's central differences of
+    the prescription psi, the only part of J not in closed form: each of
+    the value, f_t and f_p jet components c moves by +-fd_step * (1 + |c|).
+    homotopy_steps sets the first continuation step to 1/homotopy_steps.
     """
 
     newton_tol: float = 1e-10
@@ -97,10 +101,12 @@ class SolveReport:
     """Convergence trace plus the a priori bound monitors.
 
     The monitor lists hold one entry per accepted iterate (the seed
-    counts as iterate zero).  homotopy_t has one entry per accepted
-    continuation stage.  factorizations counts the sparse LU factorizations
-    and refine_sweeps the refinement sweeps against a reused LU; like
-    iterations, both cover the accepted stages only.
+    counts as iterate zero, and is recorded even when it is not
+    admissible).  homotopy_t has one entry per accepted continuation
+    stage; homotopy_t_final is the last of them, 0 before the first.
+    factorizations counts the sparse LU factorizations and refine_sweeps
+    the refinement sweeps against a reused LU; like iterations, both
+    cover the accepted stages only.
     """
 
     converged: bool = False
@@ -123,7 +129,7 @@ class SolveReport:
 
     @property
     def homotopy_t_final(self) -> float:
-        return self.homotopy_t[-1] if self.homotopy_t else 1.0
+        return self.homotopy_t[-1] if self.homotopy_t else 0.0
 
     @property
     def final_admissible(self) -> bool:
@@ -213,37 +219,132 @@ def residual(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
 # ---------------------------------------------------------------------------
 # Jacobian by the chain rule through the 2-jet
 
+def _sigma_linearized(K: int, state: GeometryState, k: int):
+    """sigma_k and its derivatives in the six raw jet components, per node.
+
+    With S = sqrt(phi^2 + |grad f|^2), P = phi / S and q = phi' / phi,
+    h = P B where B_ij = -H_ij + 2 q f_i f_j + phi phi' e_ij and
+    e = diag(1, sin^2 theta).  The linearized operator a_ij = d sigma_k /
+    d h_ij and b_ij = d sigma_k / d g_ij come from sigma_2 = det h / det g
+    and sigma_1 = tr(g^-1 h); a_ij h_ij = k sigma_k, so
+
+        d sigma_k / dc = k sigma_k dlogP/dc + P a_ij dB_ij/dc + b_ij dg_ij/dc,
+
+    with one table row (dlogP, dB, dg) per component c; phi'' = -K phi,
+    so q' = -K - q^2.  Returns (sigma_k, [d sigma_k / dc for each c]).
+    """
+    if k not in (1, 2):
+        raise ValueError(f"degree k={k} outside 1..2")
+    g = state.grid
+    st, ct = g.sin_t, g.cos_t
+    st2 = st * st
+    phi, dphi = state.phi, state.dphi
+    ft, fp, w = state.jet.d_t, state.jet.d_p, state.jet.grad_sq
+    g_tt, g_tp, g_pp = state.g_tt, state.g_tp, state.g_pp
+    h_tt, h_tp, h_pp = state.h_tt, state.h_tp, state.h_pp
+    det_g = g_tt * g_pp - g_tp * g_tp
+    if k == 2:
+        sk = (h_tt * h_pp - h_tp * h_tp) / det_g
+        a = (h_pp / det_g, -2.0 * h_tp / det_g, h_tt / det_g)
+        b = (-sk * g_pp / det_g, 2.0 * sk * g_tp / det_g, -sk * g_tt / det_g)
+    else:
+        sk = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
+        a = (g_pp / det_g, -2.0 * g_tp / det_g, g_tt / det_g)
+        b = ((h_pp - sk * g_pp) / det_g, 2.0 * (sk * g_tp - h_tp) / det_g,
+             (h_tt - sk * g_tt) / det_g)
+
+    s2 = phi * phi + w
+    pa = tuple(phi / np.sqrt(s2) * a_ij for a_ij in a)
+    q = dphi / phi
+    dq = -K - q * q
+    de = dphi * dphi - K * phi * phi
+    dgv = 2.0 * phi * dphi
+    # (dlogP, dB_tt, dB_tp, dB_pp, dg_tt, dg_tp, dg_pp); None for a zero
+    table = (
+        (q * w / s2, 2.0 * dq * ft * ft + de, 2.0 * dq * ft * fp, 2.0 * dq * fp * fp + de * st2,
+         dgv, None, dgv * st2),
+        (-ft / s2, 4.0 * q * ft, 2.0 * q * fp, -st * ct, 2.0 * ft, fp, None),
+        (-fp / (st2 * s2), None, ct / st + 2.0 * q * ft, 4.0 * q * fp, None, ft, 2.0 * fp),
+        (None, -1.0, None, None, None, None, None),
+        (None, None, -1.0, None, None, None, None),
+        (None, None, None, -1.0, None, None, None),
+    )
+    ksk = k * sk
+    out = []
+    for dlogp, *rest in table:
+        terms = [c * d for c, d in zip(pa + b, rest) if d is not None]
+        if dlogp is not None:
+            terms.insert(0, ksk * dlogp)
+        out.append(sum(terms[1:], terms[0]))
+    return sk, out
+
+
+def _psi_partials(model: SpaceFormModel, state: GeometryState, parts, psi: Prescription,
+                  fd_step: float):
+    """Central differences of psi(z, rho, nu) in the value, f_t and f_p jet
+    components, the ones rho and nu read, with step fd_step * (1 + |c|)."""
+    g = state.grid
+    z = g.unit_vectors()[0]
+    out = []
+    for c in range(3):
+        step = fd_step * (1.0 + np.abs(parts[c]))
+        sides = []
+        for moved in (parts[c] + step, parts[c] - step):
+            rho, ft, fp = (moved if i == c else parts[i] for i in range(3))
+            phi = model.warp(rho) if c == 0 else state.phi
+            sroot = np.sqrt(phi * phi + grad_sq(g, ft, fp))
+            sides.append(np.asarray(psi(z, rho, unit_normal(g, phi, ft, fp, sroot)),
+                                    dtype=float))
+        out.append((sides[0] - sides[1]) / (2.0 * step))
+    return out
+
+
 def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
              k: int, opts: Optional[SolverOptions] = None) -> sp.csr_matrix:
     """Sparse residual Jacobian J = sum_c diag(dF/dc) @ D_c.
 
-    dF/dc, the derivative of each node's residual in its own raw jet
-    component c, is a central difference of the pointwise residual with
-    step fd_step * (1 + |c|); D_c are the grid's stencil matrices, which
-    share one 9-point pattern, so J is their weights combined row by row.
+    dF/dc is the derivative of each node's residual in its own raw jet
+    component c.  Its sigma_k part is closed form (_sigma_linearized) at
+    the geometry of the iterate, which pointwise_geometry builds and
+    checks once; psi's part is a central difference in the value, f_t and
+    f_p components only (_psi_partials), since rho and nu read no second
+    derivative.  D_c are the grid's stencil matrices, which share one
+    9-point pattern, so J is their weights combined row by row.
     """
     opts = opts or SolverOptions()
     g = fieldv.grid
     parts = raw_jet(fieldv)
+    state = pointwise_geometry(model, g, jet_from_partials(g, *parts))
+    sk, dfdc = _sigma_linearized(model.K, state, k)
+    dpsi = [] if psi is None else _psi_partials(model, state, parts, psi, opts.fd_step)
+    if opts.use_normalized:
+        if k != 2:
+            raise ValueError("normalized residual is defined for degree k = 2 only")
+        if not np.all(sk > 0.0):
+            raise GeometryError("normalized residual requested outside the cone")
+        cnk = comb(psi.n if psi is not None else 2, 2)
+        dfdc = [d / (2.0 * np.sqrt(cnk * sk)) for d in dfdc]
+        if dpsi:
+            z = g.unit_vectors()[0]
+            psival = np.asarray(psi(z, state.rho, state.nu), dtype=float)
+            dpsi = [d / (2.0 * np.sqrt(cnk * psival)) for d in dpsi]
+    for c, d in enumerate(dpsi):
+        dfdc[c] = dfdc[c] - d
     stencils = jet_stencils(g)
     data = np.zeros(stencils.weights[0].shape)
-    for c, base in enumerate(parts):
-        step = opts.fd_step * (1.0 + np.abs(base))
-        sides = []
-        for moved in (base + step, base - step):
-            jet = jet_from_partials(g, *parts[:c], moved, *parts[c + 1:])
-            state = pointwise_geometry(model, g, jet)
-            sides.append(_residual_of(state, psi, k, opts.use_normalized)[1])
-        dfdc = (sides[0] - sides[1]) / (2.0 * step)
-        data += dfdc.reshape(-1, 1) * stencils.weights[c]
+    for c, d in enumerate(dfdc):
+        row = stencils.weights[c][0]
+        for j in np.flatnonzero(row):
+            data[:, j] += row[j] * d.ravel()
     return sp.csr_matrix((data.ravel(), stencils.indices, stencils.indptr),
                          shape=(g.n_nodes, g.n_nodes), copy=True)
 
 
 # Refinement against a reused LU stops once |b - Jx|_inf <= REFINE_TOL |b|_inf.
-# It gives up, and J is factored afresh, when a sweep fails to halve the
-# residual or after REFINE_MAX_SWEEPS sweeps.  A tolerance near 1e-10 would
-# sit on the direct solve's own floor and refactor on almost every step.
+# It gives up, and J is factored afresh, as soon as the observed contraction
+# cannot get there within REFINE_MAX_SWEEPS sweeps (see _refine).  A
+# tolerance near 1e-10 would sit on the direct solve's own floor and
+# refactor on almost every step.
 REFINE_TOL = 1e-8
 REFINE_MAX_SWEEPS = 12
 
@@ -265,22 +366,27 @@ class Factor:
 def _refine(lu, J: sp.csr_matrix, rhs: np.ndarray):
     """Iterative refinement of J x = rhs against lu, the LU of a nearby matrix.
 
-    Returns (x, sweeps); x is None when the residual stops contracting.
+    Returns (x, sweeps); x is None when the refinement gives up.  After
+    sweep j the contraction is theta = |r_j| / |r_{j-1}|, with |r_{-1}| =
+    |rhs|; at that rate the goal is j + log(goal / |r_j|) / log(theta)
+    sweeps away.  It gives up as soon as theta >= 1 (or NaN) or that count
+    exceeds REFINE_MAX_SWEEPS, the contraction test of Deuflhard, Newton
+    Methods for Nonlinear Problems (2004), applied to the linear iteration.
     """
     x = lu.solve(rhs)
     r = rhs - J @ x
-    rnorm = np.abs(r).max()
-    goal = REFINE_TOL * np.abs(rhs).max()
+    last, rnorm = np.abs(rhs).max(), np.abs(r).max()
+    goal = REFINE_TOL * last
     sweeps = 0
     while not rnorm <= goal:
-        if sweeps == REFINE_MAX_SWEEPS:
+        theta = rnorm / last
+        if not theta < 1.0 or (sweeps + math.log(goal / rnorm) / math.log(theta)
+                               > REFINE_MAX_SWEEPS):
             return None, sweeps
         x += lu.solve(r)
         sweeps += 1
         r = rhs - J @ x
         last, rnorm = rnorm, np.abs(r).max()
-        if not rnorm <= 0.5 * last:
-            return None, sweeps
     return x, sweeps
 
 
@@ -338,12 +444,12 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     report = report if report is not None else SolveReport()
     fieldv = rho0
     state, res, margin = _evaluate(model, fieldv, psi, k, opts.use_normalized)
+    rnorm = float(np.abs(res).max())
+    report.record(rnorm, state, margin)
     if margin < opts.cone_margin:
         raise ConeBreach(
             f"seed is not admissible: cone margin {margin!r} < {opts.cone_margin!r}",
             field=fieldv, report=report)
-    rnorm = float(np.abs(res).max())
-    report.record(rnorm, state, margin)
 
     for it in range(opts.max_newton_iters):
         if rnorm <= opts.newton_tol:
@@ -480,7 +586,12 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
 
     t = 0.0
     dt = 1.0 / opts.homotopy_steps
-    fieldv, sub = newton_solve(model, fieldv, psi0, k, opts, factor=factor)
+    try:
+        fieldv, sub = newton_solve(model, fieldv, psi0, k, opts, factor=factor)
+    except NoConvergence as exc:
+        report.absorb(exc.report)
+        report.message = f"the radial start failed at t = 0: {exc}"
+        raise type(exc)(report.message, field=exc.field, report=report) from None
     report.absorb(sub)
     report.homotopy_t.append(0.0)
     while t < 1.0:

@@ -380,6 +380,39 @@ solver.min_homotopy_step = 0.01
     assert np.all(np.isfinite(cols["rho"]))
 
 
+def test_solve_failed_radial_start_reports_without_nan(tmp_path):
+    # psi = 4e-12 puts the radial start next to the pi/2 cap, where
+    # sigma_2 = 4e-12 is below the cone margin: the t = 0 stage fails on
+    # its seed, and the report still carries finite monitors, the cause
+    # and the continuation's t
+    body = """
+model.K = 1
+grid.n_theta = 16
+grid.n_phi = 32
+problem.k = 2
+psi.family = anisotropic
+psi.base_family = constant
+psi.c = 4e-12
+psi.epsilon = 0.2
+"""
+    cfg = write_cfg(tmp_path / "cap.cfg", body)
+    proc = run_cli(["solve", str(cfg)], tmp_path)
+    assert proc.returncode == 3
+    assert "seed is not admissible" in proc.stderr
+    report = read_report(tmp_path / "report.txt")
+    for key in ("residual_inf", "rho_min", "rho_max", "grad_inf", "kappa_max", "u_min",
+                "cone_margin", "homotopy_t_final"):
+        assert math.isfinite(float(report[key])), key
+    assert not any(v.lower() in ("nan", "inf", "-inf") for v in report.values())
+    assert report["converged"] == "false"
+    assert float(report["homotopy_t_final"]) == 0.0
+    assert "t = 0" in report["message"]
+    cols = read_node_table(tmp_path / "nodes.csv")
+    assert len(cols["rho"]) == 16 * 32
+    assert np.all(np.isfinite(cols["rho"]))
+    assert (tmp_path / "mesh.obj").exists()
+
+
 def test_check_failing_barriers_match_hand_values(tmp_path):
     # round_target anchored below the barrier window: the low inequality
     # fails with slack (4/9)(1.5/1.6)^4 - 1/1.6^2, the high one passes

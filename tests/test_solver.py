@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from starcurv import solver
 from starcurv.geometry import pointwise_geometry
 from starcurv.grid import (ScalarField, build_grid, constant_field, field_from_function,
-                           jet_from_partials)
+                           jet_from_partials, jet_stencils, raw_jet)
 from starcurv.prescription import Prescription, builtin
 from starcurv.solver import (ConeBreach, NoConvergence, SolverOptions,
                              continuity_solve, jacobian, newton_solve,
@@ -86,6 +86,67 @@ def test_jacobian_directional_consistency(grid16):
         dirfd = ((rp - rm) / (2 * eps)).ravel()
         jv = J @ v.ravel()
         assert np.abs(jv - dirfd).max() / np.abs(jv).max() < 1e-5
+
+
+def _fd_jacobian(m, fieldv, psi, k, normalized=False, fd_step=1e-7):
+    """Reference J = sum_c diag(dF/dc) @ D_c with dF/dc a central difference
+    of the pointwise residual in each of the six raw jet components: two
+    full geometry and psi evaluations per component."""
+    g = fieldv.grid
+    parts = raw_jet(fieldv)
+    stencils = jet_stencils(g)
+    data = np.zeros(stencils.weights[0].shape)
+    for c, base in enumerate(parts):
+        step = fd_step * (1.0 + np.abs(base))
+        sides = []
+        for moved in (base + step, base - step):
+            jet = jet_from_partials(g, *parts[:c], moved, *parts[c + 1:])
+            sides.append(solver._residual_of(pointwise_geometry(m, g, jet), psi, k,
+                                             normalized)[1])
+        data += ((sides[0] - sides[1]) / (2.0 * step)).reshape(-1, 1) * stencils.weights[c]
+    return sp.csr_matrix((data.ravel(), stencils.indices, stencils.indptr),
+                         shape=(g.n_nodes, g.n_nodes))
+
+
+def _tilted_blend(m, k, r_bar):
+    # psi reads rho and every component of nu: a radial power blended with
+    # an anisotropic round target about a tilted axis
+    target = builtin(m, "round_target", k=k, r_bar=r_bar, m=4.0)
+    aniso = builtin(m, "anisotropic", k=k, base=target, epsilon=0.2, axis=(0.3, 0.4, 0.866))
+    return builtin(m, "radial_power", k=k, c=1.0, m=3.0).blend(aniso, 0.7)
+
+
+@pytest.mark.parametrize("nt,nphi", [(16, 32), (9, 10), (11, 16)])
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.6)])
+@pytest.mark.parametrize("k,normalized", [(1, False), (2, False), (2, True)])
+def test_closed_form_jacobian_matches_finite_differences(nt, nphi, K, r_bar, k, normalized):
+    m = spaceform(K)
+    g = build_grid(nt, nphi)
+    tt, pp = g.mesh()
+    vals = r_bar * (1.0 + 0.03 * np.cos(tt) + 0.02 * np.sin(tt) * np.cos(pp)
+                    + 0.01 * np.sin(tt) ** 2 * np.sin(2 * pp))
+    f = ScalarField(g, vals)
+    psi = _tilted_blend(m, k, r_bar)
+    J = jacobian(m, f, psi, k, SolverOptions(use_normalized=normalized))
+    ref = _fd_jacobian(m, f, psi, k, normalized)
+    assert abs(J - ref).max() <= 1e-8 * abs(ref).max()
+
+
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.6)])
+def test_jacobian_rotation_equivariance_bitwise(K, r_bar, grid16):
+    # rolling the field in phi by whole columns rotates the problem about
+    # e_z, so J must be the same matrix with rows and columns rolled
+    m = spaceform(K)
+    f = field_from_function(grid16, lambda tt, pp: r_bar * (1.0 + 0.05 * np.cos(tt)
+                                                            + 0.03 * np.sin(tt) * np.cos(pp)))
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    shift = 5
+    rolled = ScalarField(grid16, np.roll(f.values, shift, axis=1))
+    perm = np.roll(np.arange(grid16.n_nodes).reshape(grid16.shape), shift, axis=1).ravel()
+    J0 = jacobian(m, f, psi, 2).toarray()
+    J1 = jacobian(m, rolled, psi, 2).toarray()
+    assert np.array_equal(J1, J0[np.ix_(perm, perm)])
 
 
 def test_jacobian_ignores_constant_psi_level(grid16):
@@ -534,8 +595,9 @@ def test_linear_solve_reuses_neighbouring_lu(grid16):
 
 
 def test_linear_solve_refactors_once_when_refinement_diverges(grid16):
-    # against the LU of -J each sweep doubles the residual: the stale LU
-    # is replaced by one fresh factorization, as accurate as a fresh solve
+    # against the LU of -J the first solve leaves twice the residual it
+    # started from: the stale LU is dropped before any sweep and replaced
+    # by one fresh factorization, as accurate as a fresh solve
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
     factor = solver.Factor()
@@ -544,10 +606,43 @@ def test_linear_solve_refactors_once_when_refinement_diverges(grid16):
     report = solver.SolveReport()
     x = solver._linear_solve(J, b, factor, report)
     assert report.factorizations == 1
-    assert report.refine_sweeps == 1
+    assert report.refine_sweeps == 0
     assert factor.lu is not None and factor.lu is not stale
     assert np.array_equal(x, solver._linear_solve(J, b))
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_linear_solve_drops_a_slowly_contracting_lu(grid16):
+    # against the LU of J / 0.6 each sweep keeps 0.4 of the residual, so
+    # 1e-8 |b| is about 20 sweeps away: more than REFINE_MAX_SWEEPS, and the
+    # LU is dropped at once instead of after a budget of sweeps
+    m = spaceform(0)
+    J = _stage_jacobian(m, grid16, 0.1, 0.01)
+    factor = solver.Factor()
+    factor.lu = stale = solver.splu((J / 0.6).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    b = np.random.default_rng(40).standard_normal(grid16.n_nodes)
+    report = solver.SolveReport()
+    x = solver._linear_solve(J, b, factor, report)
+    assert report.factorizations == 1
+    assert report.refine_sweeps <= 1
+    assert factor.lu is not stale
+    assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_linear_solve_keeps_a_fast_contracting_lu(grid16):
+    # against the LU of J / 0.95 each sweep keeps 0.05 of the residual:
+    # the goal is about 6 sweeps away and no factorization happens
+    m = spaceform(0)
+    J = _stage_jacobian(m, grid16, 0.1, 0.01)
+    factor = solver.Factor()
+    factor.lu = stale = solver.splu((J / 0.95).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    b = np.random.default_rng(41).standard_normal(grid16.n_nodes)
+    report = solver.SolveReport()
+    x = solver._linear_solve(J, b, factor, report)
+    assert report.factorizations == 0
+    assert 0 < report.refine_sweeps <= solver.REFINE_MAX_SWEEPS
+    assert factor.lu is stale
+    assert np.abs(J @ x - b).max() <= solver.REFINE_TOL * np.abs(b).max()
 
 
 def test_singular_jacobian_with_stale_lu_raises_no_convergence():
