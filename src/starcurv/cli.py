@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, parse_config
 from .export import (field_from_node_table, write_mesh, write_node_table,
                      write_report)
-from .geometry import assemble
+from .geometry import GeometryError, assemble
 from .prescription import check_barriers, check_monotonicity, default_rho_samples
 from .solver import NoConvergence, SolveReport, _residual_of, continuity_solve
 from .spaceform import DomainError
@@ -142,11 +142,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_export(cfg: RunConfig) -> int:
     try:
         fieldv = field_from_node_table(cfg.node_table_path, cfg.grid)
-    except (OSError, ValueError) as exc:
-        print(f"export: cannot load solution from {cfg.node_table_path}: {exc}",
+        _write_solution_artifacts(cfg, fieldv, None)
+    except (OSError, ValueError, GeometryError) as exc:
+        print(f"export: cannot export the solution in {cfg.node_table_path}: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
-    _write_solution_artifacts(cfg, fieldv, None)
     print(f"export: wrote {cfg.node_table_path}, {cfg.mesh_path}, {cfg.report_path}")
     return EXIT_OK
 

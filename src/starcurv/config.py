@@ -45,8 +45,7 @@ _PSI_KEYS = {"psi.family", *(f"psi.{name}" for names in (*_FAMILY_KEYS.values(),
                              for name in names)}
 _SOLVER_KEYS = {"solver.newton_tol", "solver.max_newton_iters", "solver.damping",
                 "solver.max_backtracks", "solver.homotopy_steps",
-                "solver.min_homotopy_step", "solver.cone_margin", "solver.fd_step",
-                "solver.normalized"}
+                "solver.min_homotopy_step", "solver.cone_margin", "solver.normalized"}
 _BARRIER_KEYS = {"barriers.R1", "barriers.R2"}
 _CHECK_KEYS = {"check.barriers", "check.monotonicity", "check.rho_lo",
                "check.rho_hi", "check.samples", "check.tol"}
@@ -183,7 +182,6 @@ def parse_config(path) -> RunConfig:
             ("solver.homotopy_steps", "homotopy_steps", int),
             ("solver.min_homotopy_step", "min_homotopy_step", float),
             ("solver.cone_margin", "cone_margin", float),
-            ("solver.fd_step", "fd_step", float),
             ("solver.normalized", "use_normalized", _to_bool)):
         if key in entries:
             solver_kwargs[attr] = _get(entries, key, coerce)
@@ -191,6 +189,8 @@ def parse_config(path) -> RunConfig:
         opts = SolverOptions(**solver_kwargs)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
+    if opts.use_normalized and k != 2:
+        raise ConfigError(f"solver.normalized = true needs problem.k = 2, got {k}")
 
     R1 = _get(entries, "barriers.R1", float)
     R2 = _get(entries, "barriers.R2", float)

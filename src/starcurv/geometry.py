@@ -129,22 +129,17 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
 
     u = phi * phi / sroot
 
+    # chart-embedded unit normal (phi z - f_t e_t - f_p / sin(theta) e_p) / sroot
+    z, e_t, e_p = g.unit_vectors()
+    coef = 1.0 / sroot
+    nu = coef[..., None] * (-dt[..., None] * e_t - (dp / st)[..., None] * e_p
+                            + phi[..., None] * z)
+
     return GeometryState(grid=g, rho=rho, jet=jet, phi=phi, dphi=dphi, pot=pot,
                          g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
                          ginv_tt=ginv_tt, ginv_tp=ginv_tp, ginv_pp=ginv_pp,
                          h_tt=h_tt, h_tp=h_tp, h_pp=h_pp,
-                         kappa1=kappa1, kappa2=kappa2, u=u,
-                         nu=unit_normal(g, phi, dt, dp, sroot))
-
-
-def unit_normal(g: SphereGrid, phi, d_t, d_p, sroot) -> np.ndarray:
-    """Chart-embedded unit normal (phi z - f_t e_t - f_p / sin(theta) e_p) / sroot
-    of the radial graph, sroot = sqrt(phi^2 + |grad f|^2); shape (nt, nphi, 3)."""
-    z, e_t, e_p = g.unit_vectors()
-    coef = 1.0 / sroot
-    return coef[..., None] * (-d_t[..., None] * e_t
-                              - (d_p / g.sin_t)[..., None] * e_p
-                              + phi[..., None] * z)
+                         kappa1=kappa1, kappa2=kappa2, u=u, nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -223,12 +223,7 @@ def jet_from_partials(grid: SphereGrid, v, ft, fp, ftt, ftp, fpp) -> CovariantJe
     hess_tp = ftp - (ct / st) * fp
     hess_pp = fpp + st * ct * ft
     return CovariantJet(value=v, d_t=ft, d_p=fp, hess_tt=ftt,
-                        hess_tp=hess_tp, hess_pp=hess_pp, grad_sq=grad_sq(grid, ft, fp))
-
-
-def grad_sq(grid: SphereGrid, ft, fp):
-    """The invariant e^{ij} f_i f_j = f_t^2 + (f_p / sin(theta))^2 of raw partials."""
-    return ft * ft + (fp / grid.sin_t) ** 2
+                        hess_tp=hess_tp, hess_pp=hess_pp, grad_sq=ft * ft + (fp / st) ** 2)
 
 
 def covariant_jet(field: ScalarField, order: int = 2) -> CovariantJet:

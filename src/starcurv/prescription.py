@@ -2,14 +2,15 @@
 
 A Prescription is an evaluable, strictly positive function of the node
 direction z, the radius rho, and the chart-embedded unit normal nu
-(all vectorized).  Built-in families:
+(all vectorized).  It carries its partials (psi_rho, psi_nu), nu taken in
+R^3, for the solver's Jacobian.  Built-in families, with q = warp' / warp:
 
-    constant       psi = c
-    radial_power   psi = c * warp(rho)^-m
+    constant       psi = c                                 (0, 0)
+    radial_power   psi = c * warp(rho)^-m                  (-m q(rho) psi, 0)
     round_target   psi = C(n,k) q(rbar)^k (warp(rbar)/warp(rho))^m, m >= k,
                    constructed so the centered sphere of radius rbar is an
-                   exact solution of the degree-k equation
-    anisotropic    psi = base * (1 + eps <nu, axis>), |eps| < 1
+                   exact solution of the degree-k equation; as radial_power
+    anisotropic    psi = base * (1 + eps <nu, axis>), |eps| < 1 (product rule)
 
 The checkers report on the two solvability conditions used by the solver
 monitors: the two-radius barrier inequalities comparing psi against the
@@ -36,14 +37,16 @@ _MONO_STEP = 3e-4
 
 
 class Prescription:
-    """Positive right-hand side psi(z, rho, nu) paired with a degree k."""
+    """Positive right-hand side psi(z, rho, nu) paired with a degree k, and its
+    partials(z, rho, nu) -> (psi_rho, psi_nu), psi_nu on a trailing axis of 3."""
 
-    def __init__(self, eval_fn: Callable, family: str, params: dict,
+    def __init__(self, eval_fn: Callable, partials_fn: Callable, family: str, params: dict,
                  k: int = 2, n: int = 2, model: Optional[SpaceFormModel] = None,
                  validate: bool = True):
         if not 1 <= k <= n:
             raise ValueError(f"degree k={k} outside 1..{n}")
         self.eval_fn = eval_fn
+        self.partials = partials_fn
         self.family = family
         self.params = dict(params)
         self.k = k
@@ -76,13 +79,16 @@ class Prescription:
                     f"(min {np.nanmin(vals)!r} at rho={r!r})")
 
     def blend(self, other: "Prescription", t: float) -> "Prescription":
-        """Convex combination (1-t) self + t other; positivity is inherited."""
+        """Convex combination (1-t) self + t other, partials too; positivity is inherited."""
         if not (self.k == other.k and self.n == other.n):
             raise ValueError("cannot blend prescriptions of different degree")
         f0, f1 = self.eval_fn, other.eval_fn
+        p0, p1 = self.partials, other.partials
         tv = float(t)
         return Prescription(
             lambda z, rho, nu: (1.0 - tv) * f0(z, rho, nu) + tv * f1(z, rho, nu),
+            lambda z, rho, nu: tuple((1.0 - tv) * a + tv * b
+                                     for a, b in zip(p0(z, rho, nu), p1(z, rho, nu))),
             family="blend",
             params={"t": tv, "low": self.family, "high": other.family},
             k=self.k, n=self.n, model=self.model or other.model, validate=False)
@@ -96,6 +102,7 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
         if c <= 0.0:
             raise ValueError(f"constant prescription needs c > 0, got {c}")
         fn = lambda z, rho, nu: np.full_like(np.asarray(rho, dtype=float), c)
+        partials = lambda z, rho, nu: (0.0, 0.0)
         out_params = {"c": c}
     elif family == "radial_power":
         c = float(params.pop("c"))
@@ -103,6 +110,7 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
         if c <= 0.0:
             raise ValueError(f"radial_power prescription needs c > 0, got {c}")
         fn = lambda z, rho, nu: c * model.warp(rho) ** (-m)
+        partials = lambda z, rho, nu: (-m * model.sphere_curvature(rho) * fn(z, rho, nu), 0.0)
         out_params = {"c": c, "m": m}
     elif family == "round_target":
         r_bar = float(params.pop("r_bar"))
@@ -113,6 +121,7 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
         amp = comb(n, k) * model.sphere_curvature(r_bar) ** k
         wr = model.warp(r_bar)
         fn = lambda z, rho, nu: amp * (wr / model.warp(rho)) ** m
+        partials = lambda z, rho, nu: (-m * model.sphere_curvature(rho) * fn(z, rho, nu), 0.0)
         out_params = {"r_bar": r_bar, "m": m}
     elif family == "anisotropic":
         base = params.pop("base")
@@ -126,15 +135,22 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
         if not norm > 0.0:
             raise ValueError("anisotropic axis must be nonzero")
         axis = axis / norm
-        bfn = base.eval_fn
+        bfn, bpartials = base.eval_fn, base.partials
         fn = lambda z, rho, nu: bfn(z, rho, nu) * (1.0 + eps * (nu @ axis))
+
+        def partials(z, rho, nu):
+            b_rho, b_nu = bpartials(z, rho, nu)
+            tilt = 1.0 + eps * (nu @ axis)
+            return (b_rho * tilt,
+                    b_nu * tilt[..., None] + eps * np.multiply.outer(bfn(z, rho, nu), axis))
+
         out_params = {"base": base.family, "epsilon": eps, "axis": tuple(axis),
                       **{f"base_{key}": val for key, val in base.params.items()}}
     else:
         raise ValueError(f"unknown prescription family {family!r}; choose from {FAMILIES}")
     if params:
         raise ValueError(f"unused parameters for family {family!r}: {sorted(params)}")
-    return Prescription(fn, family, out_params, k=k, n=n, model=model)
+    return Prescription(fn, partials, family, out_params, k=k, n=n, model=model)
 
 
 @dataclass

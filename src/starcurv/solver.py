@@ -7,8 +7,8 @@ Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
 six raw jet components c, with D_c the grid's fixed stencil matrices
 (cross-pole ghosting folded in).  dF/dc is closed form for sigma_k, the
 linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
-through the jet's entries of g and h, and a central difference for the
-prescription, in the three components rho and nu read.  That pattern is
+through the jet's entries of g and h, and the prescription's own partials
+in rho and nu for the three components they read.  That pattern is
 structurally symmetric, so J is factored with the minimum-degree ordering
 of J^T + J (SuperLU's MMD_AT_PLUS_A), which fills in about half as much
 as the default COLAMD.  A continuation keeps one LU alive across all its
@@ -40,10 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .geometry import (GeometryError, GeometryState, assemble, pointwise_geometry,
-                       unit_normal)
-from .grid import (ScalarField, SphereGrid, constant_field, grad_sq, jet_from_partials,
-                   jet_stencils, raw_jet)
+from .geometry import GeometryError, GeometryState, assemble
+from .grid import ScalarField, SphereGrid, constant_field, jet_stencils
 from .prescription import Prescription, builtin
 from .spaceform import DomainError, SpaceFormModel
 from .symfunc import sigma_all
@@ -65,13 +63,8 @@ class ConeBreach(NoConvergence):
 
 @dataclass
 class SolverOptions:
-    """Newton, line-search and continuation settings.
-
-    fd_step is the relative step of the Jacobian's central differences of
-    the prescription psi, the only part of J not in closed form: each of
-    the value, f_t and f_p jet components c moves by +-fd_step * (1 + |c|).
-    homotopy_steps sets the first continuation step to 1/homotopy_steps.
-    """
+    """Newton, line-search and continuation settings; the first continuation
+    step is 1/homotopy_steps."""
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
@@ -80,7 +73,6 @@ class SolverOptions:
     homotopy_steps: int = 1
     min_homotopy_step: float = 1e-4
     cone_margin: float = 1e-10
-    fd_step: float = 1e-6
     use_normalized: bool = False
 
     def __post_init__(self):
@@ -91,7 +83,7 @@ class SolverOptions:
         for name in ("max_newton_iters", "max_backtracks", "homotopy_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("min_homotopy_step", "cone_margin", "fd_step"):
+        for name in ("min_homotopy_step", "cone_margin"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -279,24 +271,24 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
     return sk, out
 
 
-def _psi_partials(model: SpaceFormModel, state: GeometryState, parts, psi: Prescription,
-                  fd_step: float):
-    """Central differences of psi(z, rho, nu) in the value, f_t and f_p jet
-    components, the ones rho and nu read, with step fd_step * (1 + |c|)."""
+def _psi_linearized(state: GeometryState, psi: Prescription):
+    """d psi / dc in the value, f_t and f_p jet components, from psi.partials.
+
+    In the frame (z, e_t, e_p), nu = N / S with N = (phi, -f_t, -f_p / sin theta),
+    so d psi / dc = psi_rho [c = value] + P . dN/dc, P = (psi_nu - (psi_nu . nu) nu) / S.
+    psi_nu goes into frame components first, which keeps J bitwise
+    equivariant under rotations about e_z."""
     g = state.grid
-    z = g.unit_vectors()[0]
-    out = []
-    for c in range(3):
-        step = fd_step * (1.0 + np.abs(parts[c]))
-        sides = []
-        for moved in (parts[c] + step, parts[c] - step):
-            rho, ft, fp = (moved if i == c else parts[i] for i in range(3))
-            phi = model.warp(rho) if c == 0 else state.phi
-            sroot = np.sqrt(phi * phi + grad_sq(g, ft, fp))
-            sides.append(np.asarray(psi(z, rho, unit_normal(g, phi, ft, fp, sroot)),
-                                    dtype=float))
-        out.append((sides[0] - sides[1]) / (2.0 * step))
-    return out
+    frame = g.unit_vectors()
+    psi_rho, psi_nu = psi.partials(frame[0], state.rho, state.nu)
+    p_z, p_t, p_p = ((psi_nu * e).sum(axis=-1) for e in frame)
+    phi, ft, fp = state.phi, state.jet.d_t, state.jet.d_p / g.sin_t
+    s2 = phi * phi + state.jet.grad_sq
+    sroot = np.sqrt(s2)
+    a = (p_z * phi - p_t * ft - p_p * fp) / s2      # (psi_nu . nu) / S
+    return [psi_rho + state.dphi * (p_z - a * phi) / sroot,
+            -(p_t + a * ft) / sroot,
+            -(p_p + a * fp) / (sroot * g.sin_t)]
 
 
 def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
@@ -304,19 +296,18 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     """Sparse residual Jacobian J = sum_c diag(dF/dc) @ D_c.
 
     dF/dc is the derivative of each node's residual in its own raw jet
-    component c.  Its sigma_k part is closed form (_sigma_linearized) at
-    the geometry of the iterate, which pointwise_geometry builds and
-    checks once; psi's part is a central difference in the value, f_t and
-    f_p components only (_psi_partials), since rho and nu read no second
-    derivative.  D_c are the grid's stencil matrices, which share one
-    9-point pattern, so J is their weights combined row by row.
+    component c, closed form at the geometry of the iterate, which
+    assemble builds and checks once: sigma_k's part in all six components
+    (_sigma_linearized), psi's in the value, f_t and f_p components only
+    (_psi_linearized), since rho and nu read no second derivative.  D_c
+    are the grid's stencil matrices, which share one 9-point pattern, so
+    J is their weights combined row by row.
     """
     opts = opts or SolverOptions()
     g = fieldv.grid
-    parts = raw_jet(fieldv)
-    state = pointwise_geometry(model, g, jet_from_partials(g, *parts))
+    state = assemble(model, fieldv)
     sk, dfdc = _sigma_linearized(model.K, state, k)
-    dpsi = [] if psi is None else _psi_partials(model, state, parts, psi, opts.fd_step)
+    dpsi = [] if psi is None else _psi_linearized(state, psi)
     if opts.use_normalized:
         if k != 2:
             raise ValueError("normalized residual is defined for degree k = 2 only")

@@ -21,3 +21,36 @@ def test_span_recorder_installs_and_uninstalls(monkeypatch):
         rec.uninstall()
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original, attr
+
+
+def test_traced_solve_has_one_geometry_per_jacobian(tmp_path, monkeypatch):
+    # a traced 16x32 headline solve: each Jacobian builds its geometry with
+    # one assemble call, and the line search's trials stay exactly the
+    # residual evaluations newton_solve makes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+    from starcurv import solver
+    from starcurv.cli import main
+
+    evaluations = []
+    evaluate = solver._evaluate
+
+    def counted(*args, **kwargs):
+        evaluations.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_evaluate", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(workloads.aniso_config(0, 16, 1.0, workloads.HEADLINE_EPSILON))
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        assert main(["solve", str(cfg)]) == 0
+    finally:
+        rec.uninstall()
+    metrics = {name: value for name, (value, _) in
+               spans.derive(spans.summarize(rec.spans, rec.counts)).items()}
+    assert metrics["solver.jacobian.calls"] > 0
+    assert metrics["solver.jacobian.evals_per_call"] == 1
+    assert metrics["solver.line_search.trials"] == len(evaluations)

@@ -127,6 +127,32 @@ def test_export_rejects_node_table_of_another_grid(tmp_path, capsys):
     assert "8x64" in capsys.readouterr().err
 
 
+def test_export_rejects_node_table_outside_the_domain(tmp_path, capsys):
+    # rho = 1.7 is a radius of K = 0 but lies beyond pi / 2, the end of K = +1
+    g = build_grid(16, 32)
+    state = assemble(spaceform(0), constant_field(g, 1.7))
+    write_node_table(tmp_path / "nodes.csv", state, np.zeros(g.shape))
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG.replace("model.K = 0", "model.K = 1"))
+    assert main(["export", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("export:") and "outside admissible interval" in err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_export_normalized_rejects_field_outside_the_cone(tmp_path, capsys):
+    # a saddle: its curvatures leave the degree-2 cone, where the
+    # normalized residual is not defined
+    g = build_grid(16, 32)
+    tt, pp = g.mesh()
+    saddle = ScalarField(g, 1.0 + 0.9 * np.sin(tt) * np.cos(2 * pp))
+    write_node_table(tmp_path / "nodes.csv", assemble(spaceform(0), saddle), np.zeros(g.shape))
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "solver.normalized = true\n")
+    assert main(["export", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("export:") and "outside the cone" in err
+    assert not (tmp_path / "report.txt").exists()
+
+
 CHECK_MONO_CFG = """
 model.K = 0
 grid.n_theta = 16
@@ -272,6 +298,23 @@ def test_solve_with_unread_psi_keys_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "psi.epsilon" in err
     assert not (tmp_path / "nodes.csv").exists()
+
+
+def test_solve_normalized_degree_one_exits_2(tmp_path, capsys):
+    # the normalized residual is the square-root form of sigma_2 only
+    body = ROUND_CFG.replace("problem.k = 2", "problem.k = 1") + "solver.normalized = true\n"
+    assert main(["solve", str(write_cfg(tmp_path / "run.cfg", body))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "solver.normalized" in err
+    assert not (tmp_path / "nodes.csv").exists()
+
+
+def test_solve_with_removed_fd_step_key_exits_2(tmp_path, capsys):
+    # the Jacobian is closed form: no finite-difference step is left to set
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "solver.fd_step = 1e-6\n")
+    assert main(["solve", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "solver.fd_step" in err
 
 
 def test_mesh_writer_counts(tmp_path):

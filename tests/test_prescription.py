@@ -46,6 +46,51 @@ def test_builtin_anisotropic():
     assert psi(south, 1.0, south) == pytest.approx(2.0 * 0.75, abs=1e-14)
 
 
+def _partials_cases(m, r_bar):
+    target = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    radial = builtin(m, "radial_power", c=1.3, m=3.0)
+    tilted = (0.3, 0.4, 0.866)
+    blend = radial.blend(builtin(m, "anisotropic", base=target, epsilon=0.2, axis=tilted), 0.7)
+    return {
+        "constant": builtin(m, "constant", c=2.0),
+        "radial_power": radial,
+        "round_target": target,
+        "anisotropic": builtin(m, "anisotropic", base=target, epsilon=0.3, axis=tilted),
+        "blend": blend,
+        # the product rule applied to a base whose own psi_nu is nonzero
+        "anisotropic_of_blend": builtin(m, "anisotropic", base=blend, epsilon=-0.25,
+                                        axis=(1.0, -0.5, 0.2)),
+    }
+
+
+@pytest.mark.parametrize("name", ["constant", "radial_power", "round_target", "anisotropic",
+                                  "blend", "anisotropic_of_blend"])
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.6)])
+def test_partials_match_central_differences(K, r_bar, name):
+    # psi_rho against a central difference in rho, psi_nu against central
+    # differences along each Cartesian component of nu (nu free in R^3)
+    m = spaceform(K)
+    psi = _partials_cases(m, r_bar)[name]
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((40, 3))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    nu = z + 0.3 * rng.standard_normal((40, 3))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    rho = r_bar * rng.uniform(0.6, 1.4, 40)
+    psi_rho, psi_nu = psi.partials(z, rho, nu)
+    psi_rho = np.broadcast_to(psi_rho, rho.shape)
+    psi_nu = np.broadcast_to(psi_nu, nu.shape)
+    h = 1e-6
+    scale = np.abs(psi(z, rho, nu)).max()
+    fd_rho = (psi(z, rho + h, nu) - psi(z, rho - h, nu)) / (2 * h)
+    assert np.abs(psi_rho - fd_rho).max() <= 1e-7 * scale
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = h
+        fd_nu = (psi(z, rho, nu + step) - psi(z, rho, nu - step)) / (2 * h)
+        assert np.abs(psi_nu[:, j] - fd_nu).max() <= 1e-7 * scale
+
+
 def test_builtin_rejections():
     m = spaceform(0)
     with pytest.raises(ValueError):
@@ -188,4 +233,4 @@ def test_positivity_probe_rejects_sign_changing_eval():
     # z-dependent sign change must be caught by the constructor probe
     with pytest.raises(ValueError):
         Prescription(lambda z, rho, nu: z[..., 2] * np.ones_like(rho),
-                     family="custom", params={}, model=m)
+                     lambda z, rho, nu: (0.0, 0.0), family="custom", params={}, model=m)

@@ -298,8 +298,9 @@ def test_solver_options_validation():
         SolverOptions(damping=1.0)
     with pytest.raises(ValueError):
         SolverOptions(max_newton_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(fd_step=-1e-6)
+    # the Jacobian has no finite-difference step left to set
+    with pytest.raises(TypeError):
+        SolverOptions(fd_step=1e-6)
 
 
 @pytest.mark.parametrize("nt,nphi", [(64, 128), (128, 256)])
@@ -719,8 +720,11 @@ def _manufactured(m, g, r_bar):
         return (sigma2.reshape(shape)
                 * (warp_star.reshape(shape) / m.warp(rho)) ** 4)
 
-    psi = Prescription(eval_fn, family="manufactured", params={"r_bar": r_bar},
-                       k=2, n=2, model=m, validate=False)
+    def partials_fn(z, rho, nu):
+        return -4.0 * m.sphere_curvature(rho) * eval_fn(z, rho, nu), 0.0
+
+    psi = Prescription(eval_fn, partials_fn, family="manufactured",
+                       params={"r_bar": r_bar}, k=2, n=2, model=m, validate=False)
     return psi, partials[0]
 
 
