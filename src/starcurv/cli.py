@@ -29,10 +29,11 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _write_solution_artifacts(cfg: RunConfig, fieldv, report: SolveReport | None) -> None:
-    state, res, _ = _residual_of(assemble(cfg.model, fieldv), cfg.psi, cfg.k,
-                                 cfg.solver.use_normalized)
-    write_node_table(cfg.node_table_path, state, res)
-    write_mesh(cfg.mesh_path, cfg.grid, fieldv.values)
+    """Write fieldv's node table and mesh, and the run's report.
+
+    Without a solve report (a re-export) the report takes fieldv's monitors;
+    without a field (no radial start) only the report is written.
+    """
     mapping = {
         "K": cfg.model.K,
         "k": cfg.k,
@@ -40,22 +41,22 @@ def _write_solution_artifacts(cfg: RunConfig, fieldv, report: SolveReport | None
         "n_phi": cfg.grid.n_phi,
         "psi_family": cfg.psi.family,
     }
+    if fieldv is not None:
+        state, res, margin = _residual_of(assemble(cfg.model, fieldv), cfg.psi, cfg.k,
+                                          cfg.solver.use_normalized)
+        write_node_table(cfg.node_table_path, state, res)
+        write_mesh(cfg.mesh_path, cfg.grid, fieldv.values)
     if report is not None:
         mapping.update(report.summary())
         if report.message:
             mapping["message"] = report.message
     else:
         # re-export from a node table: solver history is not available
-        mapping.update({
-            "residual_inf": float(np.abs(res).max()),
-            "rho_min": float(fieldv.values.min()),
-            "rho_max": float(fieldv.values.max()),
-            "grad_inf": float(np.sqrt(state.jet.grad_sq.max())),
-            "kappa_max": float(np.maximum(np.abs(state.kappa1),
-                                          np.abs(state.kappa2)).max()),
-            "u_min": float(state.u.min()),
-            "source": "node_table",
-        })
+        fresh = SolveReport()
+        fresh.record(np.abs(res).max(), state, margin)
+        monitors = fresh.last_monitors()
+        del monitors["cone_margin"]
+        mapping.update(monitors, source="node_table")
     write_report(cfg.report_path, mapping)
 
 
@@ -63,8 +64,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     try:
         fieldv, report = continuity_solve(cfg.model, cfg.grid, cfg.psi, cfg.k, cfg.solver)
     except NoConvergence as exc:
-        if exc.field is not None:
-            _write_solution_artifacts(cfg, exc.field, exc.report)
+        _write_solution_artifacts(cfg, exc.field, exc.report)
         print(f"solve: no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     _write_solution_artifacts(cfg, fieldv, report)
@@ -103,7 +103,7 @@ def cmd_check(cfg: RunConfig) -> int:
             rep = check_monotonicity(cfg.psi, cfg.model, rho_samples=samples,
                                      tol=cfg.check_tol)
         except DomainError as exc:
-            raise ConfigError(f"monotonicity check: the radial stencil leaves the "
+            raise ConfigError(f"monotonicity check: a sample radius leaves the "
                               f"domain: {exc}") from None
         mapping.update({
             "monotone_ok": rep.monotone_ok,

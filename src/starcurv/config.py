@@ -20,7 +20,7 @@ config file's directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +34,15 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _to_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
 _MODEL_KEYS = {"model.K", "model.domain_cap"}
 _GRID_KEYS = {"grid.n_theta", "grid.n_phi"}
 _PROBLEM_KEYS = {"problem.k"}
@@ -43,15 +52,23 @@ _FAMILY_KEYS = {"constant": ("c",), "radial_power": ("c", "m"),
 _ANISO_KEYS = ("base_family", "epsilon", "axis_x", "axis_y", "axis_z")
 _PSI_KEYS = {"psi.family", *(f"psi.{name}" for names in (*_FAMILY_KEYS.values(), _ANISO_KEYS)
                              for name in names)}
-_SOLVER_KEYS = {"solver.newton_tol", "solver.max_newton_iters", "solver.damping",
-                "solver.max_backtracks", "solver.homotopy_steps",
-                "solver.min_homotopy_step", "solver.cone_margin", "solver.normalized"}
+# solver.* key -> (SolverOptions field, parser)
+SOLVER_KEYS = {
+    "solver.newton_tol": ("newton_tol", float),
+    "solver.max_newton_iters": ("max_newton_iters", int),
+    "solver.damping": ("damping", float),
+    "solver.max_backtracks": ("max_backtracks", int),
+    "solver.homotopy_steps": ("homotopy_steps", int),
+    "solver.min_homotopy_step": ("min_homotopy_step", float),
+    "solver.cone_margin": ("cone_margin", float),
+    "solver.normalized": ("use_normalized", _to_bool),
+}
 _BARRIER_KEYS = {"barriers.R1", "barriers.R2"}
 _CHECK_KEYS = {"check.barriers", "check.monotonicity", "check.rho_lo",
                "check.rho_hi", "check.samples", "check.tol"}
 _OUTPUT_KEYS = {"outputs.node_table_path", "outputs.mesh_path", "outputs.report_path"}
 _DEBUG_KEYS = {"debug.flip_christoffel"}
-KNOWN_KEYS = (_MODEL_KEYS | _GRID_KEYS | _PROBLEM_KEYS | _PSI_KEYS | _SOLVER_KEYS
+KNOWN_KEYS = (_MODEL_KEYS | _GRID_KEYS | _PROBLEM_KEYS | _PSI_KEYS | set(SOLVER_KEYS)
               | _BARRIER_KEYS | _CHECK_KEYS | _OUTPUT_KEYS | _DEBUG_KEYS)
 
 
@@ -73,7 +90,6 @@ class RunConfig:
     mesh_path: Path = Path("mesh.obj")
     report_path: Path = Path("report.txt")
     flip_christoffel: bool = False
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_lines(text: str) -> dict:
@@ -105,15 +121,6 @@ def _get(entries: dict, key: str, coerce, default=None, required: bool = False):
         raise ConfigError(f"key {key!r}: cannot parse {raw!r}: {exc}") from None
 
 
-def _to_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {raw!r}")
-
-
 def _build_psi(entries: dict, model: SpaceFormModel, k: int) -> Prescription:
     family = _get(entries, "psi.family", str, required=True)
     aniso = family == "anisotropic"
@@ -129,15 +136,14 @@ def _build_psi(entries: dict, model: SpaceFormModel, k: int) -> Prescription:
               for name in _FAMILY_KEYS[base_family]}
 
     try:
-        base = builtin(model, base_family, k=k, n=2, **params)
+        base = builtin(model, base_family, k=k, **params)
         if not aniso:
             return base
         axis = (_get(entries, "psi.axis_x", float, default=0.0),
                 _get(entries, "psi.axis_y", float, default=0.0),
                 _get(entries, "psi.axis_z", float, default=1.0))
         eps = _get(entries, "psi.epsilon", float, required=True)
-        return builtin(model, "anisotropic", k=k, n=2,
-                       base=base, epsilon=eps, axis=axis)
+        return builtin(model, "anisotropic", k=k, base=base, epsilon=eps, axis=axis)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -173,18 +179,8 @@ def parse_config(path) -> RunConfig:
 
     psi = _build_psi(entries, model, k)
 
-    solver_kwargs = {}
-    for key, attr, coerce in (
-            ("solver.newton_tol", "newton_tol", float),
-            ("solver.max_newton_iters", "max_newton_iters", int),
-            ("solver.damping", "damping", float),
-            ("solver.max_backtracks", "max_backtracks", int),
-            ("solver.homotopy_steps", "homotopy_steps", int),
-            ("solver.min_homotopy_step", "min_homotopy_step", float),
-            ("solver.cone_margin", "cone_margin", float),
-            ("solver.normalized", "use_normalized", _to_bool)):
-        if key in entries:
-            solver_kwargs[attr] = _get(entries, key, coerce)
+    solver_kwargs = {attr: _get(entries, key, coerce)
+                     for key, (attr, coerce) in SOLVER_KEYS.items() if key in entries}
     try:
         opts = SolverOptions(**solver_kwargs)
     except ValueError as exc:
@@ -230,5 +226,4 @@ def parse_config(path) -> RunConfig:
         node_table_path=out_path("outputs.node_table_path", "nodes.csv"),
         mesh_path=out_path("outputs.mesh_path", "mesh.obj"),
         report_path=out_path("outputs.report_path", "report.txt"),
-        flip_christoffel=_get(entries, "debug.flip_christoffel", _to_bool, default=False),
-        raw=entries)
+        flip_christoffel=_get(entries, "debug.flip_christoffel", _to_bool, default=False))

@@ -7,33 +7,30 @@ R^3, for the solver's Jacobian.  Built-in families, with q = warp' / warp:
 
     constant       psi = c                                 (0, 0)
     radial_power   psi = c * warp(rho)^-m                  (-m q(rho) psi, 0)
-    round_target   psi = C(n,k) q(rbar)^k (warp(rbar)/warp(rho))^m, m >= k,
+    round_target   psi = C(2,k) q(rbar)^k (warp(rbar)/warp(rho))^m, m >= k,
                    constructed so the centered sphere of radius rbar is an
                    exact solution of the degree-k equation; as radial_power
     anisotropic    psi = base * (1 + eps <nu, axis>), |eps| < 1 (product rule)
 
-The checkers report on the two solvability conditions used by the solver
-monitors: the two-radius barrier inequalities comparing psi against the
-curvature of centered spheres, and radial monotonicity of warp^k * psi at
-frozen normal.  Checkers never gate anything; they only report faithfully.
+The degree k is 1 or 2: the hypersurfaces are surfaces.  The checkers
+report on the two solvability conditions used by the solver monitors: the
+two-radius barrier inequalities comparing psi against sigma_k of centered
+spheres, and radial monotonicity of warp^k * psi at frozen normal, taken
+in closed form from the partials.  Checkers never gate anything; they only
+report faithfully.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import STENCILS, build_grid, stencil_sum
+from .grid import build_grid
 from .spaceform import SpaceFormModel
 
 FAMILIES = ("constant", "radial_power", "round_target", "anisotropic")
-
-# 4th-order stencil for the monotonicity derivative: keeps the reported
-# margin within ~1e-12 of the symbolic value for smooth families.
-_MONO_STEP = 3e-4
 
 
 class Prescription:
@@ -41,16 +38,15 @@ class Prescription:
     partials(z, rho, nu) -> (psi_rho, psi_nu), psi_nu on a trailing axis of 3."""
 
     def __init__(self, eval_fn: Callable, partials_fn: Callable, family: str, params: dict,
-                 k: int = 2, n: int = 2, model: Optional[SpaceFormModel] = None,
+                 k: int = 2, model: Optional[SpaceFormModel] = None,
                  validate: bool = True):
-        if not 1 <= k <= n:
-            raise ValueError(f"degree k={k} outside 1..{n}")
+        if not 1 <= k <= 2:
+            raise ValueError(f"degree k={k} outside 1..2")
         self.eval_fn = eval_fn
         self.partials = partials_fn
         self.family = family
         self.params = dict(params)
         self.k = k
-        self.n = n
         self.model = model
         if validate:
             self._positivity_probe()
@@ -80,7 +76,7 @@ class Prescription:
 
     def blend(self, other: "Prescription", t: float) -> "Prescription":
         """Convex combination (1-t) self + t other, partials too; positivity is inherited."""
-        if not (self.k == other.k and self.n == other.n):
+        if self.k != other.k:
             raise ValueError("cannot blend prescriptions of different degree")
         f0, f1 = self.eval_fn, other.eval_fn
         p0, p1 = self.partials, other.partials
@@ -91,11 +87,10 @@ class Prescription:
                                      for a, b in zip(p0(z, rho, nu), p1(z, rho, nu))),
             family="blend",
             params={"t": tv, "low": self.family, "high": other.family},
-            k=self.k, n=self.n, model=self.model or other.model, validate=False)
+            k=self.k, model=self.model or other.model, validate=False)
 
 
-def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
-            **params) -> Prescription:
+def builtin(model: SpaceFormModel, family: str, k: int = 2, **params) -> Prescription:
     """Construct one of the built-in prescription families."""
     if family == "constant":
         c = float(params.pop("c"))
@@ -117,8 +112,7 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
         m = float(params.pop("m"))
         if m < k:
             raise ValueError(f"round_target needs m >= k, got m={m} k={k}")
-        model.check_domain(r_bar)
-        amp = comb(n, k) * model.sphere_curvature(r_bar) ** k
+        amp = model.sphere_sigma(r_bar, k)
         wr = model.warp(r_bar)
         fn = lambda z, rho, nu: amp * (wr / model.warp(rho)) ** m
         partials = lambda z, rho, nu: (-m * model.sphere_curvature(rho) * fn(z, rho, nu), 0.0)
@@ -150,7 +144,7 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, n: int = 2,
         raise ValueError(f"unknown prescription family {family!r}; choose from {FAMILIES}")
     if params:
         raise ValueError(f"unused parameters for family {family!r}: {sorted(params)}")
-    return Prescription(fn, partials, family, out_params, k=k, n=n, model=model)
+    return Prescription(fn, partials, family, out_params, k=k, model=model)
 
 
 @dataclass
@@ -187,8 +181,8 @@ def check_barriers(psi: Prescription, model: SpaceFormModel, R1: float, R2: floa
     """Report the two-radius barrier inequalities.
 
     At the inner radius the prescription evaluated at the radial normal
-    must dominate the curvature C(n,k) q(R1)^k of the centered sphere; at
-    the outer radius it must be dominated by C(n,k) q(R2)^k.  Margins are
+    must dominate sigma_k = C(2,k) q(R1)^k of the centered sphere; at the
+    outer radius it must be dominated by C(2,k) q(R2)^k.  Margins are
     worst-case over the sampled directions.
     """
     if not (0.0 < R1 < R2 < model.a):
@@ -196,11 +190,10 @@ def check_barriers(psi: Prescription, model: SpaceFormModel, R1: float, R2: floa
     g = build_grid(n_theta, n_phi)
     z, _, _ = g.unit_vectors()
     z = z.reshape(-1, 3)
-    cnk = comb(psi.n, psi.k)
     low_vals = psi(z, np.full(len(z), float(R1)), z)
     high_vals = psi(z, np.full(len(z), float(R2)), z)
-    low_margin = float(np.min(low_vals - cnk * model.sphere_curvature(R1) ** psi.k))
-    high_margin = float(np.min(cnk * model.sphere_curvature(R2) ** psi.k - high_vals))
+    low_margin = float(np.min(low_vals - model.sphere_sigma(R1, psi.k)))
+    high_margin = float(np.min(model.sphere_sigma(R2, psi.k) - high_vals))
     return ConditionReport(
         barrier_low_ok=low_margin >= 0.0,
         barrier_high_ok=high_margin >= 0.0,
@@ -222,9 +215,11 @@ def check_monotonicity(psi: Prescription, model: SpaceFormModel,
     """Report the radial monotonicity condition at frozen normal.
 
     For each sampled (z, nu) pair and radius rho, the derivative
-    d/d(rho) [warp(rho)^k psi(z, rho, nu)] is estimated with a 4th-order
-    centered stencil; the condition requires it to stay <= tol everywhere.
-    The normal components are held fixed in the chart while rho varies.
+    d/d(rho) [warp(rho)^k psi(z, rho, nu)] = warp^k (k q psi + psi_rho),
+    q = warp' / warp, with psi_rho from psi.partials; the condition requires
+    it to stay <= tol everywhere.  The normal components are held fixed in
+    the chart while rho varies.  Every sample must lie in (0, a); warp
+    raises DomainError otherwise.
     """
     if rho_samples is None:
         rho_samples = default_rho_samples(model)
@@ -242,15 +237,9 @@ def check_monotonicity(psi: Prescription, model: SpaceFormModel,
     rr = rho_samples[None, :]
     zz = directions[:, None, :]
     nn = normals[:, None, :]
-    h = _MONO_STEP * np.maximum(np.abs(rr), 0.1)
-    model.check_domain(rr - 2 * h)
-    model.check_domain(rr + 2 * h)
-
-    def f(r):
-        return model.warp(r) ** k * psi(zz, r, nn)
-
-    nums, den = STENCILS[4][1]
-    deriv = stencil_sum(nums, lambda m: f(rr + m * h)) / (den * h)
+    wk = model.warp(rr) ** k
+    psi_rho, _ = psi.partials(zz, rr, nn)
+    deriv = wk * (k * model.sphere_curvature(rr) * psi(zz, rr, nn) + psi_rho)
     worst = float(deriv.max())
     return ConditionReport(
         monotone_ok=worst <= tol,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -88,11 +87,18 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
 
 
+# The per-iterate monitor lists of a SolveReport, in the order record() takes
+# them and summary() writes their last entries; residual_trace's is written
+# as residual_inf.
+MONITORS = ("residual_trace", "rho_min", "rho_max", "grad_inf", "kappa_max", "u_min",
+            "cone_margin")
+
+
 @dataclass
 class SolveReport:
     """Convergence trace plus the a priori bound monitors.
 
-    The monitor lists hold one entry per accepted iterate (the seed
+    The MONITORS lists hold one entry per accepted iterate (the seed
     counts as iterate zero, and is recorded even when it is not
     admissible).  homotopy_t has one entry per accepted continuation
     stage; homotopy_t_final is the last of them, 0 before the first.
@@ -128,39 +134,30 @@ class SolveReport:
         return bool(self.cone_margin) and self.cone_margin[-1] > 0.0
 
     def record(self, rnorm: float, state: GeometryState, margin: float):
-        self.residual_trace.append(float(rnorm))
-        self.rho_min.append(float(state.rho.min()))
-        self.rho_max.append(float(state.rho.max()))
-        self.grad_inf.append(float(np.sqrt(state.jet.grad_sq.max())))
         kmax = np.maximum(np.abs(state.kappa1), np.abs(state.kappa2)).max()
-        self.kappa_max.append(float(kmax))
-        self.u_min.append(float(state.u.min()))
-        self.cone_margin.append(float(margin))
+        values = (rnorm, state.rho.min(), state.rho.max(), np.sqrt(state.jet.grad_sq.max()),
+                  kmax, state.u.min(), margin)
+        for name, value in zip(MONITORS, values):
+            getattr(self, name).append(float(value))
 
     def absorb(self, other: "SolveReport"):
         """Append another solve's accepted-iterate traces (homotopy stages)."""
         self.iterations += other.iterations
         self.factorizations += other.factorizations
         self.refine_sweeps += other.refine_sweeps
-        for name in ("residual_trace", "rho_min", "rho_max", "grad_inf",
-                     "kappa_max", "u_min", "cone_margin"):
+        for name in MONITORS:
             getattr(self, name).extend(getattr(other, name))
 
+    def last_monitors(self) -> dict:
+        """The last entry of each monitor list, skipping empty ones."""
+        return {"residual_inf" if name == "residual_trace" else name: getattr(self, name)[-1]
+                for name in MONITORS if getattr(self, name)}
+
     def summary(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "factorizations": self.factorizations,
-            "refine_sweeps": self.refine_sweeps,
-            "residual_inf": self.residual_inf,
-            "rho_min": self.rho_min[-1] if self.rho_min else math.nan,
-            "rho_max": self.rho_max[-1] if self.rho_max else math.nan,
-            "grad_inf": self.grad_inf[-1] if self.grad_inf else math.nan,
-            "kappa_max": self.kappa_max[-1] if self.kappa_max else math.nan,
-            "u_min": self.u_min[-1] if self.u_min else math.nan,
-            "cone_margin": self.cone_margin[-1] if self.cone_margin else math.nan,
-            "homotopy_t_final": self.homotopy_t_final,
-        }
+        """Counters, last monitors and homotopy_t_final: the report keys of a solve."""
+        return {"converged": self.converged, "iterations": self.iterations,
+                "factorizations": self.factorizations, "refine_sweeps": self.refine_sweeps,
+                **self.last_monitors(), "homotopy_t_final": self.homotopy_t_final}
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +184,9 @@ def _residual_of(state: GeometryState, psi: Optional[Prescription], k: int,
     if normalized:
         if k != 2:
             raise ValueError("normalized residual is defined for degree k = 2 only")
-        cnk = comb(psi.n if psi is not None else lam.shape[-1], 2)
         if margin <= 0.0:
             raise GeometryError("normalized residual requested outside the cone")
-        res = np.sqrt(sk / cnk) - np.sqrt(np.maximum(psival, 0.0) / cnk)
+        res = np.sqrt(sk) - np.sqrt(np.maximum(psival, 0.0))
     else:
         res = sk - psival
     return state, res, margin
@@ -313,12 +309,11 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
             raise ValueError("normalized residual is defined for degree k = 2 only")
         if not np.all(sk > 0.0):
             raise GeometryError("normalized residual requested outside the cone")
-        cnk = comb(psi.n if psi is not None else 2, 2)
-        dfdc = [d / (2.0 * np.sqrt(cnk * sk)) for d in dfdc]
+        dfdc = [d / (2.0 * np.sqrt(sk)) for d in dfdc]
         if dpsi:
             z = g.unit_vectors()[0]
             psival = np.asarray(psi(z, state.rho, state.nu), dtype=float)
-            dpsi = [d / (2.0 * np.sqrt(cnk * psival)) for d in dpsi]
+            dpsi = [d / (2.0 * np.sqrt(psival)) for d in dpsi]
     for c, d in enumerate(dpsi):
         dfdc[c] = dfdc[c] - d
     stencils = jet_stencils(g)
@@ -526,15 +521,16 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
 
 def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
                   k: int) -> float:
-    """Radius r0 whose centered sphere solves the radial problem at the
-    target's mean scale: C(n,k) q(r0)^k = mean_z psi(z, r0, radial)."""
+    """Radius r0 whose centered sphere solves the degree-k radial problem
+    at the target's mean scale: C(2,k) q(r0)^k = mean_z psi(z, r0, radial).
+    Raises NoConvergence, with no field and a report of only its message,
+    when the scan finds no root."""
     z, _, _ = grid.unit_vectors()
     z = z.reshape(-1, 3)
-    cnk = comb(psi.n, psi.k)
 
     def gap(r):
         vals = psi(z, np.full(len(z), r), z)
-        return cnk * model.sphere_curvature(r) ** k - float(np.mean(vals))
+        return model.sphere_sigma(r, k) - float(np.mean(vals))
 
     hi = model.a - 1e-6 if model.K == 1 else min(model.a * 0.98, 30.0)
     rs = np.geomspace(1e-3, hi, 240)
@@ -546,8 +542,9 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
         if prev_g * cur < 0.0:
             return float(_illinois(gap, float(prev_r), float(r), prev_g, cur))
         prev_r, prev_g = r, cur
-    raise NoConvergence("no radial start radius: the radial problem "
-                        "C(n,k) q(r)^k = mean(psi) has no root in the domain")
+    msg = ("no radial start radius: the radial problem "
+           "C(2,k) q(r)^k = mean(psi) has no root in the domain")
+    raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
 def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescription,
@@ -569,8 +566,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
-    psi0 = builtin(model, "round_target", k=psi_target.k, n=psi_target.n,
-                   r_bar=r0, m=k + 2)
+    psi0 = builtin(model, "round_target", k=psi_target.k, r_bar=r0, m=k + 2)
     fieldv = constant_field(grid, r0)
     report = SolveReport()
     factor = Factor()

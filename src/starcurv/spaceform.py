@@ -103,6 +103,10 @@ class SpaceFormModel:
         phi, dphi = self._warp_parts(rho, (0, 1))
         return dphi / phi
 
+    def sphere_sigma(self, rho, k: int):
+        """sigma_k of the centered sphere of radius rho, a surface: C(2,k) q(rho)^k."""
+        return math.comb(2, k) * self.sphere_curvature(rho) ** k
+
 
 def spaceform(K: int, domain_cap: float = DEFAULT_DOMAIN_CAP) -> SpaceFormModel:
     """Build the model space of curvature K with a finite domain endpoint."""

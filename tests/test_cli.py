@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 from starcurv.cli import main
-from starcurv.config import ConfigError, parse_config
+from starcurv.config import KNOWN_KEYS, SOLVER_KEYS, ConfigError, parse_config
 from starcurv.export import (NODE_TABLE_HEADER, field_from_node_table, read_node_table,
                              read_report, write_mesh, write_node_table)
 from starcurv.geometry import assemble
 from starcurv.grid import ScalarField, build_grid, constant_field
-from starcurv.solver import residual
+from starcurv.solver import SolveReport, SolverOptions, _residual_of, residual
 from starcurv.spaceform import spaceform
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -106,6 +107,33 @@ def test_export_round_trip(tmp_path):
     assert np.array_equal(before["rho"], after["rho"])
     report = read_report(tmp_path / "report.txt")
     assert report["source"] == "node_table"
+
+
+def test_export_report_matches_solve_report_record(tmp_path):
+    # the re-export report writes what SolveReport.record gives for the
+    # table's field, bit for bit, under its fixed keys and order
+    body = ROUND_CFG.replace("psi.family = constant\npsi.c = 1.0", """psi.family = anisotropic
+psi.base_family = round_target
+psi.r_bar = 1.0
+psi.m = 4.0
+psi.epsilon = 0.2""")
+    cfg = write_cfg(tmp_path / "run.cfg", body)
+    assert main(["solve", str(cfg)]) == 0
+    assert main(["export", str(cfg)]) == 0
+    report = read_report(tmp_path / "report.txt")
+    keys = ["residual_inf", "rho_min", "rho_max", "grad_inf", "kappa_max", "u_min", "source"]
+    assert list(report) == ["K", "k", "n_theta", "n_phi", "psi_family"] + keys
+    assert report["source"] == "node_table"
+    parsed = parse_config(cfg)
+    fieldv = field_from_node_table(tmp_path / "nodes.csv", parsed.grid)
+    state, res, margin = _residual_of(assemble(parsed.model, fieldv), parsed.psi, 2, False)
+    expected = SolveReport()
+    expected.record(np.abs(res).max(), state, margin)
+    for key in keys[:-1]:
+        name = "residual_trace" if key == "residual_inf" else key
+        assert float(report[key]) == getattr(expected, name)[-1], key
+    assert float(report["rho_min"]) == fieldv.values.min()
+    assert float(report["kappa_max"]) > 1.0
 
 
 def test_export_without_solution_fails(tmp_path):
@@ -265,8 +293,7 @@ def test_parse_config_rejects_half_barriers(tmp_path):
     "check.samples = 0\n",
     "check.rho_lo = -1.0\ncheck.rho_hi = 1.0\n",
     "check.rho_lo = 0.5\n",
-    "barriers.R1 = 1e-5\nbarriers.R2 = 1.0\n",
-], ids=["zero-samples", "negative-rho-lo", "rho-lo-alone", "barrier-below-stencil"])
+], ids=["zero-samples", "negative-rho-lo", "rho-lo-alone"])
 def test_check_config_errors_exit_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + extra)
     assert main(["check", str(cfg)]) == 2
@@ -315,6 +342,49 @@ def test_solve_with_removed_fd_step_key_exits_2(tmp_path, capsys):
     assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "solver.fd_step" in err
+
+
+def test_solver_keys_map_one_to_one_onto_solver_options(tmp_path):
+    # every SolverOptions field has exactly one solver.* key, and each key
+    # reaches its field through parse_config with a non-default value
+    fields = {f.name: f for f in dataclasses.fields(SolverOptions)}
+    attrs = [attr for attr, _ in SOLVER_KEYS.values()]
+    assert sorted(attrs) == sorted(fields)
+    assert {key for key in KNOWN_KEYS if key.startswith("solver.")} == set(SOLVER_KEYS)
+    for key, (attr, _) in SOLVER_KEYS.items():
+        default = fields[attr].default
+        if isinstance(default, bool):
+            value, text = not default, str(not default).lower()
+        elif isinstance(default, int):
+            value, text = default + 1, str(default + 1)
+        else:
+            value, text = default / 2, repr(default / 2)
+        body = ROUND_CFG.replace("solver.newton_tol = 1e-11\n", f"{key} = {text}\n")
+        cfg = write_cfg(tmp_path / "run.cfg", body)
+        assert getattr(parse_config(cfg).solver, attr) == value, key
+
+
+def test_solve_without_radial_start_writes_report(tmp_path):
+    # K = 0 and psi = 1e-4: 1/r^2 = 1e-4 has its root at r = 100, past the
+    # scan's r = 30, so there is no start; the report still names the cause
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG.replace("psi.c = 1.0", "psi.c = 1e-4"))
+    proc = run_cli(["solve", str(cfg)], tmp_path)
+    assert proc.returncode == 3
+    assert "no radial start radius" in proc.stderr
+    report = read_report(tmp_path / "report.txt")
+    assert {key: report[key] for key in ("K", "k", "n_theta", "n_phi", "psi_family")} == {
+        "K": "0", "k": "2", "n_theta": "16", "n_phi": "32", "psi_family": "constant"}
+    assert report["converged"] == "false"
+    assert report["iterations"] == "0"
+    assert float(report["homotopy_t_final"]) == 0.0
+    assert "no radial start radius" in report["message"]
+    assert "C(2,k)" in report["message"]
+    for key in ("residual_inf", "rho_min", "rho_max", "grad_inf", "kappa_max", "u_min",
+                "cone_margin"):
+        assert key not in report
+    assert not any(v.lower() in ("nan", "inf", "-inf") for v in report.values())
+    assert not (tmp_path / "nodes.csv").exists()
+    assert not (tmp_path / "mesh.obj").exists()
 
 
 def test_mesh_writer_counts(tmp_path):

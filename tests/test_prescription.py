@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starcurv.prescription import (ConditionReport, builtin, check_barriers,
+from starcurv.prescription import (ConditionReport, Prescription, builtin, check_barriers,
                                    check_monotonicity)
 from starcurv.spaceform import DomainError, spaceform
 
@@ -112,6 +112,20 @@ def test_builtin_rejections():
         builtin(m, "constant", c=1.0, bogus=3.0)
 
 
+def test_dimension_is_not_a_parameter():
+    # surfaces only: the degree is 1 or 2 and there is no dimension knob
+    m = spaceform(0)
+    with pytest.raises(TypeError):
+        Prescription(lambda z, rho, nu: np.ones_like(rho), lambda z, rho, nu: (0.0, 0.0),
+                     family="custom", params={}, k=2, n=2, model=m)
+    with pytest.raises(ValueError, match="'n'"):
+        builtin(m, "constant", c=1.0, n=2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            builtin(m, "constant", k=k, c=1.0)
+    assert not hasattr(builtin(m, "constant", c=1.0), "n")
+
+
 def test_blend_interpolates():
     m = spaceform(0)
     a = builtin(m, "constant", c=1.0)
@@ -195,14 +209,19 @@ def test_monotonicity_round_target_boundary_case():
     assert abs(rep.monotone_max_derivative) < 1e-10
 
 
-def test_monotonicity_stencil_reach_is_per_sample():
-    # each radius moves by its own step, so a small radius next to a large
-    # one stays checkable; a radius within two steps of 0 does not
+def test_monotonicity_closed_form_down_to_small_radii():
+    # d/drho [rho^2 rho^-4] = -2 rho^-3 at every sample inside (0, a), however
+    # close to 0; a sample outside still raises DomainError
     m = spaceform(0)
     psi = builtin(m, "radial_power", c=1.0, m=4.0)
-    assert check_monotonicity(psi, m, rho_samples=np.linspace(5e-4, 2.0, 64)).monotone_ok
-    with pytest.raises(DomainError):
-        check_monotonicity(psi, m, rho_samples=np.linspace(1e-5, 1.0, 64))
+    for r in np.geomspace(1e-5, 2.0, 12):
+        rep = check_monotonicity(psi, m, rho_samples=[r])
+        assert rep.monotone_ok
+        assert rep.monotone_max_derivative == pytest.approx(-2.0 * r**-3, rel=1e-14)
+    assert check_monotonicity(psi, m, rho_samples=np.linspace(1e-5, 1.0, 64)).monotone_ok
+    for bad in (0.0, -1.0, m.a):
+        with pytest.raises(DomainError):
+            check_monotonicity(psi, m, rho_samples=np.linspace(bad, 1.0, 8))
 
 
 def test_monotonicity_spherical_model():
@@ -228,7 +247,6 @@ def test_condition_report_merge_and_all_ok():
 
 
 def test_positivity_probe_rejects_sign_changing_eval():
-    from starcurv.prescription import Prescription
     m = spaceform(0)
     # z-dependent sign change must be caught by the constructor probe
     with pytest.raises(ValueError):

@@ -724,7 +724,7 @@ def _manufactured(m, g, r_bar):
         return -4.0 * m.sphere_curvature(rho) * eval_fn(z, rho, nu), 0.0
 
     psi = Prescription(eval_fn, partials_fn, family="manufactured",
-                       params={"r_bar": r_bar}, k=2, n=2, model=m, validate=False)
+                       params={"r_bar": r_bar}, k=2, model=m, validate=False)
     return psi, partials[0]
 
 

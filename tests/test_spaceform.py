@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from starcurv.geometry import assemble
+from starcurv.grid import build_grid, constant_field
 from starcurv.spaceform import DomainError, spaceform
+from starcurv.symfunc import sigma
 
 ALL_K = (-1, 0, 1)
 
@@ -33,6 +36,17 @@ def test_sphere_curvature_closed_forms():
     assert spaceform(1).sphere_curvature(math.pi / 4) == pytest.approx(1.0, abs=1e-15)
     # frozen value of cosh(0.5)/sinh(0.5)
     assert spaceform(-1).sphere_curvature(0.5) == pytest.approx(2.1639534137386525, abs=1e-15)
+
+
+@pytest.mark.parametrize("K,r", [(-1, 1.3), (0, 0.7), (1, 0.9)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_sphere_sigma_matches_assembled_constant_field(K, r, k):
+    # the centered sphere's sigma_k in closed form against the discrete
+    # geometry of a constant field, whose jet has no derivative to err in
+    m = spaceform(K)
+    state = assemble(m, constant_field(build_grid(8, 16), r))
+    assert np.allclose(sigma(state.kappa, k), m.sphere_sigma(r, k), rtol=1e-13, atol=0.0)
+    assert m.sphere_sigma(r, k) == math.comb(2, k) * m.sphere_curvature(r) ** k
 
 
 def test_domain_endpoints():
