@@ -17,13 +17,18 @@ so J drifts little, and each Newton system is solved by iterative
 refinement against the LU of an earlier J.  J is factored again as soon
 as the refinement's observed contraction cannot reach its tolerance
 within its sweep budget.  The continuation tries the whole path
-t = 0 -> 1 in one step first, halves a step that fails (including one
-whose first Newton step needs damping) and doubles the next one after a
-step that succeeds.  Every accepted Newton iterate must stay strictly
-inside the radial domain and keep the principal curvatures inside the
-degree-k positivity cone with a configurable margin; the report carries
-the a priori bound monitors (radius range, gradient sup, largest
-curvature, support minimum, cone margin) for every accepted iterate.
+t = 0 -> 1 in one step first, halves a step that fails and doubles the
+next one after a step that succeeds.  A stage whose Newton solve damped a
+step must also keep the branch index, the sign of det J, of the radial
+start: that sign is the local Leray-Schauder index of an isolated
+solution, and the two solutions that meet at a fold have opposite signs.
+The test is necessary, not sufficient: two solutions of equal index can
+coexist, and it cannot tell them apart.  Every accepted Newton iterate
+must stay strictly inside the radial domain and keep the principal
+curvatures inside the degree-k positivity cone with a configurable
+margin; the report carries the a priori bound monitors (radius range,
+gradient sup, largest curvature, support minimum, cone margin) for every
+accepted iterate.
 
 Runs are serial and deterministic: given identical inputs and options
 the iterate sequence is bitwise reproducible.
@@ -104,13 +109,18 @@ class SolveReport:
     stage; homotopy_t_final is the last of them, 0 before the first.
     factorizations counts the sparse LU factorizations and refine_sweeps
     the refinement sweeps against a reused LU; like iterations, both
-    cover the accepted stages only.
+    cover the accepted stages only.  branch_rejections counts the stages
+    rejected because the branch index at their solution differed from
+    the start's.  branch_index is sign det J at the solution of a Newton
+    solve that damped a step, 0 when it damped none.
     """
 
     converged: bool = False
     iterations: int = 0
     factorizations: int = 0
     refine_sweeps: int = 0
+    branch_rejections: int = 0
+    branch_index: int = 0
     message: str = ""
     residual_trace: list = field(default_factory=list)
     homotopy_t: list = field(default_factory=list)
@@ -145,6 +155,7 @@ class SolveReport:
         self.iterations += other.iterations
         self.factorizations += other.factorizations
         self.refine_sweeps += other.refine_sweeps
+        self.branch_rejections += other.branch_rejections
         for name in MONITORS:
             getattr(self, name).extend(getattr(other, name))
 
@@ -157,7 +168,8 @@ class SolveReport:
         """Counters, last monitors and homotopy_t_final: the report keys of a solve."""
         return {"converged": self.converged, "iterations": self.iterations,
                 "factorizations": self.factorizations, "refine_sweeps": self.refine_sweeps,
-                **self.last_monitors(), "homotopy_t_final": self.homotopy_t_final}
+                "branch_rejections": self.branch_rejections, **self.last_monitors(),
+                "homotopy_t_final": self.homotopy_t_final}
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +355,49 @@ class Factor:
     stops contracting.
     """
 
-    __slots__ = ("lu",)
+    __slots__ = ("_lu", "_sign")
 
     def __init__(self):
         self.lu = None
+
+    @property
+    def lu(self):
+        return self._lu
+
+    @lu.setter
+    def lu(self, lu):
+        self._lu, self._sign = lu, None     # the sign belongs to one LU
+
+    def det_sign(self) -> int:
+        """sign det of the matrix lu factors, computed once per LU.
+
+        Refinement against an LU A of an earlier J contracts only when
+        |I - A^-1 J| < 1, and then det A and det J have the same sign."""
+        if self._sign is None:
+            self._sign = _lu_det_sign(self._lu)
+        return self._sign
+
+
+def _perm_parity(perm: np.ndarray) -> int:
+    """(-1)^(n - cycles) of a permutation of 0..n-1, by pointer jumping.
+
+    After round r, label[i] is the least index among the first 2^r nodes
+    of i's cycle, so after ceil(log2 n) rounds each node carries its
+    cycle's least index, and the cycles are the nodes that carry their own."""
+    n = len(perm)
+    label, jump = np.arange(n), np.asarray(perm)
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+    cycles = np.count_nonzero(label == np.arange(n))
+    return -1 if (n - cycles) % 2 else 1
+
+
+def _lu_det_sign(lu) -> int:
+    """sign det A from SuperLU's Pr A Pc = L U, where L has a unit diagonal:
+    prod sign(U_ii) sign(Pr) sign(Pc), 0 for a zero pivot."""
+    return (int(np.prod(np.sign(lu.U.diagonal()))) * _perm_parity(lu.perm_r)
+            * _perm_parity(lu.perm_c))
 
 
 def _refine(lu, J: sp.csr_matrix, rhs: np.ndarray):
@@ -411,8 +462,7 @@ def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = 
 
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  k: int, opts: Optional[SolverOptions] = None,
-                 report: Optional[SolveReport] = None, factor: Optional[Factor] = None,
-                 full_first_step: bool = False):
+                 report: Optional[SolveReport] = None, factor: Optional[Factor] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
     With a factor, each Newton system is solved against the LU it holds
@@ -423,11 +473,14 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     margin >= cone_margin, and strictly decreases the residual sup norm.
     Raises ConeBreach when no step length is even admissible and
     NoConvergence when budgets run out; both carry the partial report.
-    With full_first_step, NoConvergence is raised as soon as the first
-    step cannot be accepted at full length.
+    When a step was damped, the converged report's branch_index is sign
+    det J from the LU that served the last step: a fresh one, or a held
+    one against which refinement contracted.
     """
     opts = opts or SolverOptions()
     report = report if report is not None else SolveReport()
+    held = factor if factor is not None else Factor()
+    damped = False
     fieldv = rho0
     state, res, margin = _evaluate(model, fieldv, psi, k, opts.use_normalized)
     rnorm = float(np.abs(res).max())
@@ -437,14 +490,14 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             f"seed is not admissible: cone margin {margin!r} < {opts.cone_margin!r}",
             field=fieldv, report=report)
 
-    for it in range(opts.max_newton_iters):
+    for _ in range(opts.max_newton_iters):
         if rnorm <= opts.newton_tol:
-            report.converged = True
-            report.message = "converged"
-            return fieldv, report
+            break
         J = jacobian(model, fieldv, psi, k, opts)
+        if factor is None:
+            held.lu = None
         try:
-            delta = _linear_solve(J, -res.ravel(), factor, report).reshape(fieldv.grid.shape)
+            delta = _linear_solve(J, -res.ravel(), held, report).reshape(fieldv.grid.shape)
         except NoConvergence as exc:
             raise NoConvergence(str(exc), field=fieldv, report=report) from None
 
@@ -464,9 +517,6 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                     fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
                     accepted = True
                     break
-            if full_first_step and it == 0:
-                raise NoConvergence("the first Newton step needs damping",
-                                    field=fieldv, report=report)
             alpha *= opts.damping
         if not accepted:
             if not admissible_seen:
@@ -476,16 +526,19 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             raise NoConvergence(
                 f"line search stalled at residual {rnorm!r}",
                 field=fieldv, report=report)
+        damped = damped or alpha < 1.0
         report.iterations += 1
         report.record(rnorm, state, margin)
 
-    if rnorm <= opts.newton_tol:
-        report.converged = True
-        report.message = "converged"
-        return fieldv, report
-    raise NoConvergence(
-        f"iteration budget exhausted at residual {rnorm!r}",
-        field=fieldv, report=report)
+    if not rnorm <= opts.newton_tol:
+        raise NoConvergence(
+            f"iteration budget exhausted at residual {rnorm!r}",
+            field=fieldv, report=report)
+    report.converged = True
+    report.message = "converged"
+    if damped:
+        report.branch_index = held.det_sign()
+    return fieldv, report
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +585,12 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
         vals = psi(z, np.full(len(z), r), z)
         return model.sphere_sigma(r, k) - float(np.mean(vals))
 
-    hi = model.a - 1e-6 if model.K == 1 else min(model.a * 0.98, 30.0)
-    rs = np.geomspace(1e-3, hi, 240)
+    top = model.a - 1e-6 if model.K == 1 else model.a * 0.98
+    rs = np.geomspace(1e-3, min(top, 30.0), 240)
+    if top > 30.0:
+        # (30, top) at the same ratio, reached only when (1e-3, 30] has no sign change
+        n = math.ceil(math.log(top / 30.0) / math.log(rs[1] / rs[0]))
+        rs = np.concatenate([rs, np.geomspace(30.0, top, n + 1)[1:]])
     prev_r, prev_g = rs[0], gap(rs[0])
     for r in rs[1:]:
         cur = gap(r)
@@ -547,6 +604,28 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
     raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
+def _start_index(model: SpaceFormModel, fieldv: ScalarField, psi0: Prescription, k: int,
+                 opts: SolverOptions) -> int:
+    """sign det J at the t = 0 solution, from its two real Fourier blocks in phi.
+
+    There the field is constant in phi and psi0 is radial, so J commutes
+    with the shift by one longitude: J[(i, j), (i', j')] = C_ii'(j' - j).
+    Its Fourier blocks B_m = sum_d C(d) w^(md), n_theta x n_theta, give
+    det J = prod_m det B_m, and B_m, B_(n_phi - m) are complex conjugates
+    with a positive product of determinants, so sign det J = sign det B_0
+    * sign det B_(n_phi/2).  slogdet, because det overflows at 128x256.
+    """
+    g = fieldv.grid
+    rows = jacobian(model, fieldv, psi0, k, opts)[::g.n_phi].tocoo()   # nodes (i, 0)
+    col_t, col_p = np.divmod(rows.col, g.n_phi)
+    sign = 1.0
+    for weight in (1.0, 1.0 - 2.0 * (col_p % 2)):
+        block = np.zeros((g.n_theta, g.n_theta))
+        np.add.at(block, (rows.row, col_t), weight * rows.data)
+        sign *= np.linalg.slogdet(block)[0]
+    return int(sign)
+
+
 def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescription,
                      k: int, opts: Optional[SolverOptions] = None):
     """Homotopy continuation from an exactly solvable radial prescription.
@@ -558,9 +637,13 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     solution.  The first step is 1/homotopy_steps (by default the whole
     path); a failed step is halved from the t it tried, and an accepted one
     doubles the next, without a cap.  A step fails when its Newton solve
-    fails or cannot take its first step at full length: a start outside
-    the region where undamped Newton contracts can be led by damping to
-    another solution of the same equation, and in K = +1 it is.  A step
+    fails, or when that solve damped a step and the branch index at its
+    solution (Newton's report) differs from the start's (_start_index,
+    computed the first time a stage needs it).  Damping can lead a start
+    outside the region where undamped Newton contracts to another solution
+    of the same equation, and in K = +1 it does; the two solutions that
+    meet at a fold have opposite indices.  The test is necessary, not
+    sufficient: a second solution of the start's index passes it.  A step
     that would end within min_homotopy_step of t = 1 goes to 1.  Every
     Newton solve of the continuation shares one Factor.
     """
@@ -581,21 +664,31 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         raise type(exc)(report.message, field=exc.field, report=report) from None
     report.absorb(sub)
     report.homotopy_t.append(0.0)
+    start, start_index = fieldv, None
     while t < 1.0:
         t_next = min(t + dt, 1.0)
         if 1.0 - t_next < opts.min_homotopy_step:
             t_next = 1.0
         psi_t = psi0.blend(psi_target, t_next)
+        failure = None
         try:
-            fieldv, sub = newton_solve(model, fieldv, psi_t, k, opts, factor=factor,
-                                       full_first_step=True)
-        except NoConvergence:
+            solved, sub = newton_solve(model, fieldv, psi_t, k, opts, factor=factor)
+        except NoConvergence as exc:
+            failure = str(exc)
+        else:
+            if sub.branch_index and start_index is None:
+                start_index = _start_index(model, start, psi0, k, opts)
+            if sub.branch_index and sub.branch_index != start_index:
+                report.branch_rejections += 1
+                failure = (f"branch index {sub.branch_index:+d} at the solution for "
+                           f"t = {t_next!r}, the start's is {start_index:+d}")
+        if failure is not None:
             dt = 0.5 * (t_next - t)
             if dt < opts.min_homotopy_step:
-                report.message = f"homotopy stalled at t = {t!r}"
+                report.message = f"homotopy stalled at t = {t!r}: {failure}"
                 raise NoConvergence(report.message, field=fieldv, report=report) from None
             continue
-        t = t_next
+        t, fieldv = t_next, solved
         report.absorb(sub)
         report.homotopy_t.append(t)
         dt *= 2.0

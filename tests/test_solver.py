@@ -458,9 +458,10 @@ def test_continuity_hard_targets_take_the_full_step(K, r_bar, grid16):
 
 
 @pytest.mark.parametrize("K,r_bar,epsilon", [(-1, 1.0, 0.2), (0, 1.0, 0.2), (1, 0.8, 0.2),
-                                             (0, 1.0, 0.9), (1, 0.8, 0.24)])
+                                             (0, 1.0, 0.9), (1, 0.8, 0.24), (1, 0.8, 0.25),
+                                             (-1, 1.0, 0.8)])
 def test_continuity_full_step_matches_ten_steps(K, r_bar, epsilon, grid16):
-    # K = +1, r_bar = 0.8, epsilon = 0.24 has a second solution, and a
+    # K = +1, r_bar = 0.8, epsilon >= 0.23 has a second solution, and a
     # damped Newton solve from the radial start straight at t = 1 ends on
     # it (rho in [0.78, 0.92] instead of [0.67, 0.78])
     m = spaceform(K)
@@ -473,35 +474,126 @@ def test_continuity_full_step_matches_ten_steps(K, r_bar, epsilon, grid16):
     assert np.abs(f_one.values - f_ten.values).max() < 1e-10
 
 
-def test_continuity_rejects_a_stage_whose_first_newton_step_is_damped(grid16, monkeypatch):
-    # from the radial start the first Newton step towards t = 1, and then
-    # towards t = 0.5, needs damping: both stages are rejected unsolved,
-    # each after one trial step, and the path goes on from t = 0.25
+def _start(m, g, psi, opts=TIGHT):
+    """The continuation's t = 0 solution and start prescription for target psi."""
+    r0 = solver._radial_start(m, g, psi, 2)
+    psi0 = builtin(m, "round_target", k=psi.k, r_bar=r0, m=4.0)
+    start, _ = newton_solve(m, constant_field(g, r0), psi0, 2, opts)
+    return start, psi0
+
+
+def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16):
+    # K = +1, r_bar = 0.8, epsilon = 0.24 has a second solution.  A damped
+    # Newton solve from the radial start straight at t = 1 converges to it,
+    # with branch index -1 against the start's +1, so the continuation
+    # rejects that stage and reaches t = 1 through t = 0.5, where the
+    # 10-step run ends
     m = spaceform(1)
     base = builtin(m, "round_target", r_bar=0.8, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
-    outcomes = []
-    real_newton = solver.newton_solve
+    start, psi0 = _start(m, grid16, psi)
+    wrong, rep_wrong = newton_solve(m, start, psi0.blend(psi, 1.0), 2, TIGHT)
+    assert rep_wrong.converged
+    assert rep_wrong.branch_index == -1
+    f_one, rep_one = continuity_solve(m, grid16, psi, 2, TIGHT)
+    ten = SolverOptions(newton_tol=TIGHT.newton_tol, homotopy_steps=10)
+    f_ten, rep_ten = continuity_solve(m, grid16, psi, 2, ten)
+    assert rep_one.homotopy_t == [0.0, 0.5, 1.0]
+    assert type(rep_one.summary()["branch_rejections"]) is int
+    assert rep_one.summary()["branch_rejections"] == 1
+    assert np.abs(f_one.values - f_ten.values).max() < 1e-10
+    assert np.abs(wrong.values - f_ten.values).max() > 0.1
+    # with no room to halve the rejected step, the stall names both indices
+    short = SolverOptions(newton_tol=TIGHT.newton_tol, min_homotopy_step=0.6)
+    with pytest.raises(NoConvergence) as info:
+        continuity_solve(m, grid16, psi, 2, short)
+    assert "homotopy stalled at t = 0.0" in str(info.value)
+    assert "branch index -1" in str(info.value) and "the start's is +1" in str(info.value)
+    assert info.value.report.branch_rejections == 1
 
-    def newton(model, rho0, psi, k, opts=None, report=None, **kw):
-        try:
-            out = real_newton(model, rho0, psi, k, opts, report, **kw)
-        except NoConvergence as exc:
-            outcomes.append((psi.params.get("t"), str(exc), exc.report.iterations))
-            raise
-        outcomes.append((psi.params.get("t"), "converged", out[1].iterations))
-        return out
 
-    monkeypatch.setattr(solver, "newton_solve", newton)
+@pytest.mark.parametrize("K,r_bar,epsilon,max_iters", [(0, 1.0, 0.9, 8), (-1, 1.0, 0.8, 6)])
+def test_continuity_strong_anisotropy_iteration_budget(K, r_bar, epsilon, max_iters, grid16):
+    # the damped full step is accepted where the solution is unique: both
+    # reach t = 1 in one stage (the first-step rule took 28 and 15 iterations)
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=epsilon, axis=(0.0, 0.0, 1.0))
     _, report = continuity_solve(m, grid16, psi, 2, TIGHT)
-    assert outcomes[1:4] == [(1.0, "the first Newton step needs damping", 0),
-                             (0.5, "the first Newton step needs damping", 0),
-                             (0.25, "converged", outcomes[3][2])]
     assert report.converged
-    assert report.homotopy_t[:2] == [0.0, 0.25]
-    with pytest.raises(NoConvergence, match="first Newton step needs damping"):
-        real_newton(m, constant_field(grid16, report.rho_max[0]), psi, 2, TIGHT,
-                    full_first_step=True)
+    assert report.iterations <= max_iters
+    assert report.branch_rejections == 0
+
+
+def test_lu_det_sign_matches_slogdet(grid16):
+    # random sparse matrices, pivoted by SuperLU, and J at both K = +1
+    # solutions of epsilon = 0.24: the right branch (+1) and the second (-1)
+    rng = np.random.default_rng(7)
+    mats = []
+    for n in (1, 2, 17, 60, 200):
+        a = sp.random(n, n, density=0.1, random_state=rng) + sp.diags(rng.standard_normal(n))
+        mats.append(a.tocsc())
+    m = spaceform(1)
+    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
+    start, psi0 = _start(m, grid16, psi)
+    right, _ = continuity_solve(m, grid16, psi, 2, TIGHT)
+    wrong, _ = newton_solve(m, start, psi0.blend(psi, 1.0), 2, TIGHT)
+    mats += [jacobian(m, f, psi, 2).tocsc() for f in (right, wrong)]
+    signs = []
+    for a in mats:
+        lu = solver.splu(a, permc_spec="MMD_AT_PLUS_A")
+        signs.append(solver._lu_det_sign(lu))
+        assert signs[-1] == np.linalg.slogdet(a.toarray())[0]
+    assert signs[-2:] == [1, -1]
+    assert {-1, 1} <= set(signs[:-2])
+
+
+def test_perm_parity_matches_transposition_count():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 8, 33, 257):
+        for _ in range(5):
+            perm = rng.permutation(n)
+            p, swaps = list(perm), 0
+            for i in range(n):
+                while p[i] != i:
+                    j = p[i]
+                    p[i], p[j] = p[j], p[i]
+                    swaps += 1
+            assert solver._perm_parity(perm) == (-1) ** swaps
+
+
+@pytest.mark.parametrize("nt,nphi", [(9, 10), (16, 32)])
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
+def test_start_index_matches_dense_slogdet(nt, nphi, K, r_bar):
+    # J at a constant field with a radial psi commutes with phi-shifts, and
+    # the product of the signs of its two real Fourier blocks' determinants
+    # is sign det J: at the continuation's start, and at the sphere r_bar
+    # solving c warp^-m, whose index changes sign as m runs from 4 to -12
+    m = spaceform(K)
+    g = build_grid(nt, nphi)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    cases = [_start(m, g, psi)]
+    for power in (4.0, 1.0, 0.0, -2.0, -5.0, -8.0, -12.0):
+        c = m.sphere_sigma(r_bar, 2) * m.warp(r_bar) ** power
+        cases.append((constant_field(g, r_bar), builtin(m, "radial_power", c=c, m=power)))
+    indices = []
+    for fieldv, radial in cases:
+        indices.append(solver._start_index(m, fieldv, radial, 2, TIGHT))
+        assert indices[-1] == np.linalg.slogdet(jacobian(m, fieldv, radial, 2).toarray())[0]
+    assert indices[0] == 1
+    assert set(indices) == {-1, 1}
+
+
+def test_radial_start_scans_past_r_30():
+    # K = 0, psi = 1/35^2: the root r = 35 lies past r = 30, inside a = 50
+    m = spaceform(0)
+    g = build_grid(8, 16)
+    psi = builtin(m, "constant", c=1.0 / 35.0**2)
+    fieldv, report = continuity_solve(m, g, psi, 2, TIGHT)
+    assert report.converged
+    assert np.abs(fieldv.values - 35.0).max() < 1e-8
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8), (1, 1.45)])
@@ -690,6 +782,7 @@ def test_continuation_reports_factorizations_and_sweeps(grid16):
     summary = report.summary()
     assert summary["factorizations"] == report.factorizations
     assert summary["refine_sweeps"] == report.refine_sweeps
+    assert summary["branch_rejections"] == 0
 
 
 def _manufactured(m, g, r_bar):
