@@ -42,8 +42,7 @@ def _write_solution_artifacts(cfg: RunConfig, fieldv, report: SolveReport | None
         "psi_family": cfg.psi.family,
     }
     if fieldv is not None:
-        state, res, margin = _residual_of(assemble(cfg.model, fieldv), cfg.psi, cfg.k,
-                                          cfg.solver.use_normalized)
+        state, res, margin = _residual_of(assemble(cfg.model, fieldv), cfg.psi, cfg.k)
         write_node_table(cfg.node_table_path, state, res)
         write_mesh(cfg.mesh_path, cfg.grid, fieldv.values)
     if report is not None:

@@ -61,7 +61,6 @@ SOLVER_KEYS = {
     "solver.homotopy_steps": ("homotopy_steps", int),
     "solver.min_homotopy_step": ("min_homotopy_step", float),
     "solver.cone_margin": ("cone_margin", float),
-    "solver.normalized": ("use_normalized", _to_bool),
 }
 _BARRIER_KEYS = {"barriers.R1", "barriers.R2"}
 _CHECK_KEYS = {"check.barriers", "check.monotonicity", "check.rho_lo",
@@ -185,8 +184,6 @@ def parse_config(path) -> RunConfig:
         opts = SolverOptions(**solver_kwargs)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
-    if opts.use_normalized and k != 2:
-        raise ConfigError(f"solver.normalized = true needs problem.k = 2, got {k}")
 
     R1 = _get(entries, "barriers.R1", float)
     R2 = _get(entries, "barriers.R2", float)

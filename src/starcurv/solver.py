@@ -1,7 +1,8 @@
 """Damped Newton and homotopy continuation for the curvature equation.
 
 The discrete equation is, per node, sigma_k of the principal curvatures
-minus the prescription evaluated at (z, rho, nu).  That residual reads rho
+minus the prescription evaluated at (z, rho, nu); Newton, the Jacobian and
+the exported node tables all use this one residual form.  It reads rho
 only through the node's 2-jet (value, first and second partials), so the
 Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
 six raw jet components c, with D_c the grid's fixed stencil matrices
@@ -77,7 +78,6 @@ class SolverOptions:
     homotopy_steps: int = 1
     min_homotopy_step: float = 1e-4
     cone_margin: float = 1e-10
-    use_normalized: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < 1.0:
@@ -88,7 +88,7 @@ class SolverOptions:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("min_homotopy_step", "cone_margin"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:     # NaN fails too
                 raise ValueError(f"{name} must be positive")
 
 
@@ -176,43 +176,31 @@ class SolveReport:
 # residual
 
 def _evaluate(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
-              k: int, normalized: bool = False):
+              k: int):
     """Geometry, residual values, and cone margin in one pass."""
-    return _residual_of(assemble(model, fieldv), psi, k, normalized)
+    return _residual_of(assemble(model, fieldv), psi, k)
 
 
-def _residual_of(state: GeometryState, psi: Optional[Prescription], k: int,
-                 normalized: bool):
+def _residual_of(state: GeometryState, psi: Optional[Prescription], k: int):
     """Residual values and cone margin of an assembled geometry, node by node."""
-    lam = state.kappa
-    sigs = sigma_all(lam, k)
+    sigs = sigma_all(state.kappa, k)
     margin = float(sigs.min())
-    sk = sigs[..., -1]
     if psi is None:
         psival = 0.0
     else:
         z, _, _ = state.grid.unit_vectors()
         psival = np.asarray(psi(z, state.rho, state.nu), dtype=float)
-    if normalized:
-        if k != 2:
-            raise ValueError("normalized residual is defined for degree k = 2 only")
-        if margin <= 0.0:
-            raise GeometryError("normalized residual requested outside the cone")
-        res = np.sqrt(sk) - np.sqrt(np.maximum(psival, 0.0))
-    else:
-        res = sk - psival
-    return state, res, margin
+    return state, sigs[..., -1] - psival, margin
 
 
 def residual(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
-             k: int, normalized: bool = False) -> ScalarField:
-    """Per-node defect sigma_k(kappa) - psi(z, rho, nu).
+             k: int) -> ScalarField:
+    """Per-node defect sigma_k(kappa) - psi(z, rho, nu), the one residual
+    form that Newton drives to zero and the exports write.
 
     psi=None evaluates the pure curvature part (used by scaling tests).
-    The normalized flag switches to the concave square-root form, which
-    has the same zero set on the admissibility cone.
     """
-    _, res, _ = _evaluate(model, fieldv, psi, k, normalized)
+    _, res, _ = _evaluate(model, fieldv, psi, k)
     return ScalarField(fieldv.grid, res)
 
 
@@ -231,7 +219,7 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
         d sigma_k / dc = k sigma_k dlogP/dc + P a_ij dB_ij/dc + b_ij dg_ij/dc,
 
     with one table row (dlogP, dB, dg) per component c; phi'' = -K phi,
-    so q' = -K - q^2.  Returns (sigma_k, [d sigma_k / dc for each c]).
+    so q' = -K - q^2.  Returns [d sigma_k / dc for each c].
     """
     if k not in (1, 2):
         raise ValueError(f"degree k={k} outside 1..2")
@@ -276,7 +264,7 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
         if dlogp is not None:
             terms.insert(0, ksk * dlogp)
         out.append(sum(terms[1:], terms[0]))
-    return sk, out
+    return out
 
 
 def _psi_linearized(state: GeometryState, psi: Prescription):
@@ -300,7 +288,7 @@ def _psi_linearized(state: GeometryState, psi: Prescription):
 
 
 def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
-             k: int, opts: Optional[SolverOptions] = None) -> sp.csr_matrix:
+             k: int) -> sp.csr_matrix:
     """Sparse residual Jacobian J = sum_c diag(dF/dc) @ D_c.
 
     dF/dc is the derivative of each node's residual in its own raw jet
@@ -311,21 +299,10 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     are the grid's stencil matrices, which share one 9-point pattern, so
     J is their weights combined row by row.
     """
-    opts = opts or SolverOptions()
     g = fieldv.grid
     state = assemble(model, fieldv)
-    sk, dfdc = _sigma_linearized(model.K, state, k)
+    dfdc = _sigma_linearized(model.K, state, k)
     dpsi = [] if psi is None else _psi_linearized(state, psi)
-    if opts.use_normalized:
-        if k != 2:
-            raise ValueError("normalized residual is defined for degree k = 2 only")
-        if not np.all(sk > 0.0):
-            raise GeometryError("normalized residual requested outside the cone")
-        dfdc = [d / (2.0 * np.sqrt(sk)) for d in dfdc]
-        if dpsi:
-            z = g.unit_vectors()[0]
-            psival = np.asarray(psi(z, state.rho, state.nu), dtype=float)
-            dpsi = [d / (2.0 * np.sqrt(psival)) for d in dpsi]
     for c, d in enumerate(dpsi):
         dfdc[c] = dfdc[c] - d
     stencils = jet_stencils(g)
@@ -482,7 +459,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     held = factor if factor is not None else Factor()
     damped = False
     fieldv = rho0
-    state, res, margin = _evaluate(model, fieldv, psi, k, opts.use_normalized)
+    state, res, margin = _evaluate(model, fieldv, psi, k)
     rnorm = float(np.abs(res).max())
     report.record(rnorm, state, margin)
     if margin < opts.cone_margin:
@@ -493,7 +470,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     for _ in range(opts.max_newton_iters):
         if rnorm <= opts.newton_tol:
             break
-        J = jacobian(model, fieldv, psi, k, opts)
+        J = jacobian(model, fieldv, psi, k)
         if factor is None:
             held.lu = None
         try:
@@ -507,7 +484,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
         for _ in range(opts.max_backtracks + 1):
             cf = ScalarField(fieldv.grid, fieldv.values + alpha * delta)
             try:
-                cstate, cres, cmargin = _evaluate(model, cf, psi, k, opts.use_normalized)
+                cstate, cres, cmargin = _evaluate(model, cf, psi, k)
             except (GeometryError, DomainError):
                 cstate = None
             if cstate is not None and cmargin >= opts.cone_margin:
@@ -604,8 +581,8 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
     raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
-def _start_index(model: SpaceFormModel, fieldv: ScalarField, psi0: Prescription, k: int,
-                 opts: SolverOptions) -> int:
+def _start_index(model: SpaceFormModel, fieldv: ScalarField, psi0: Prescription,
+                 k: int) -> int:
     """sign det J at the t = 0 solution, from its two real Fourier blocks in phi.
 
     There the field is constant in phi and psi0 is radial, so J commutes
@@ -616,7 +593,7 @@ def _start_index(model: SpaceFormModel, fieldv: ScalarField, psi0: Prescription,
     * sign det B_(n_phi/2).  slogdet, because det overflows at 128x256.
     """
     g = fieldv.grid
-    rows = jacobian(model, fieldv, psi0, k, opts)[::g.n_phi].tocoo()   # nodes (i, 0)
+    rows = jacobian(model, fieldv, psi0, k)[::g.n_phi].tocoo()   # nodes (i, 0)
     col_t, col_p = np.divmod(rows.col, g.n_phi)
     sign = 1.0
     for weight in (1.0, 1.0 - 2.0 * (col_p % 2)):
@@ -677,7 +654,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
             failure = str(exc)
         else:
             if sub.branch_index and start_index is None:
-                start_index = _start_index(model, start, psi0, k, opts)
+                start_index = _start_index(model, start, psi0, k)
             if sub.branch_index and sub.branch_index != start_index:
                 report.branch_rejections += 1
                 failure = (f"branch index {sub.branch_index:+d} at the solution for "

@@ -20,7 +20,7 @@ from .geometry import (assemble, codazzi_residual, hessian_identity_residual,
                        support_gradient_residual, support_hessian_residual)
 from .grid import ScalarField, build_grid, field_from_function
 from .prescription import builtin
-from .solver import SolverOptions, jacobian, residual
+from .solver import jacobian, residual
 from .spaceform import spaceform
 from .symfunc import in_gamma_cone, sigma, sigma_partial
 
@@ -159,7 +159,6 @@ def check_rotation_equivariance(n_theta: int = 16, n_phi: int = 32) -> list:
 def check_jacobian_oracle(n_theta: int = 16, n_phi: int = 32, cases: int = 3) -> list:
     rng = np.random.default_rng(102)
     worst = 0.0
-    opts = SolverOptions()
     for case in range(cases):
         K = ALL_K[case % 3]
         m = spaceform(K)
@@ -171,7 +170,7 @@ def check_jacobian_oracle(n_theta: int = 16, n_phi: int = 32, cases: int = 3) ->
         f = ScalarField(g, vals)
         base = builtin(m, "round_target", r_bar=r_base, m=4.0)
         psi = builtin(m, "anisotropic", base=base, epsilon=0.1, axis=(0.0, 0.0, 1.0))
-        J = jacobian(m, f, psi, 2, opts)
+        J = jacobian(m, f, psi, 2)
         v = rng.standard_normal(g.shape)
         eps = 1e-6
         rp = residual(m, ScalarField(g, vals + eps * v), psi, 2).values

@@ -185,7 +185,7 @@ def test_criterion_6_jacobian_oracle():
         base = builtin(m, "round_target", r_bar=r0, m=4.0)
         psi = builtin(m, "anisotropic", base=base, epsilon=0.1, axis=(0.0, 0.0, 1.0))
         res0 = residual(m, fieldv, psi, 2)  # also asserts admissible geometry
-        J = jacobian(m, fieldv, psi, 2, OPTS)
+        J = jacobian(m, fieldv, psi, 2)
         v = rng.standard_normal(g.shape)
         eps = 1e-6
         rp = residual(m, ScalarField(g, vals + eps * v), psi, 2).values

@@ -18,7 +18,8 @@ from starcurv.grid import ScalarField, build_grid, constant_field
 from starcurv.solver import SolveReport, SolverOptions, _residual_of, residual
 from starcurv.spaceform import spaceform
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(args, cwd):
@@ -127,7 +128,7 @@ psi.epsilon = 0.2""")
     assert report["source"] == "node_table"
     parsed = parse_config(cfg)
     fieldv = field_from_node_table(tmp_path / "nodes.csv", parsed.grid)
-    state, res, margin = _residual_of(assemble(parsed.model, fieldv), parsed.psi, 2, False)
+    state, res, margin = _residual_of(assemble(parsed.model, fieldv), parsed.psi, 2)
     expected = SolveReport()
     expected.record(np.abs(res).max(), state, margin)
     for key in keys[:-1]:
@@ -165,20 +166,6 @@ def test_export_rejects_node_table_outside_the_domain(tmp_path, capsys):
     assert main(["export", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("export:") and "outside admissible interval" in err
-    assert not (tmp_path / "report.txt").exists()
-
-
-def test_export_normalized_rejects_field_outside_the_cone(tmp_path, capsys):
-    # a saddle: its curvatures leave the degree-2 cone, where the
-    # normalized residual is not defined
-    g = build_grid(16, 32)
-    tt, pp = g.mesh()
-    saddle = ScalarField(g, 1.0 + 0.9 * np.sin(tt) * np.cos(2 * pp))
-    write_node_table(tmp_path / "nodes.csv", assemble(spaceform(0), saddle), np.zeros(g.shape))
-    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "solver.normalized = true\n")
-    assert main(["export", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("export:") and "outside the cone" in err
     assert not (tmp_path / "report.txt").exists()
 
 
@@ -328,21 +315,41 @@ def test_solve_with_unread_psi_keys_exits_2(tmp_path, capsys):
     assert not (tmp_path / "nodes.csv").exists()
 
 
-def test_solve_normalized_degree_one_exits_2(tmp_path, capsys):
-    # the normalized residual is the square-root form of sigma_2 only
-    body = ROUND_CFG.replace("problem.k = 2", "problem.k = 1") + "solver.normalized = true\n"
-    assert main(["solve", str(write_cfg(tmp_path / "run.cfg", body))]) == 2
+@pytest.mark.parametrize("line", ["solver.fd_step = 1e-6", "solver.normalized = true"],
+                         ids=["fd_step", "normalized"])
+def test_solve_with_removed_solver_key_exits_2(tmp_path, capsys, line):
+    # the Jacobian is closed form, so no finite-difference step is left to
+    # set, and the residual has the one form sigma_k - psi: both keys are unknown
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + line + "\n")
+    assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "solver.normalized" in err
+    key = line.split(" = ")[0]
+    assert err.startswith("config error:") and f"unknown key {key!r}" in err
     assert not (tmp_path / "nodes.csv").exists()
 
 
-def test_solve_with_removed_fd_step_key_exits_2(tmp_path, capsys):
-    # the Jacobian is closed form: no finite-difference step is left to set
-    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "solver.fd_step = 1e-6\n")
+def test_solve_with_nan_cone_margin_exits_2(tmp_path, capsys):
+    # NaN is not a positive margin: a config error, not a cone breach
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "solver.cone_margin = nan\n")
     assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "solver.fd_step" in err
+    assert err.startswith("config error:") and "cone_margin" in err
+    assert not (tmp_path / "nodes.csv").exists()
+
+
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
+
+
+def test_parse_config_accepts_committed_configs_and_readme_example(tmp_path):
+    # a committed config or the documented example that still uses a
+    # removed key fails here, not in a user's first run
+    assert CONFIGS
+    for cfg in CONFIGS:
+        parse_config(cfg)
+    blocks = ROOT.joinpath("README.md").read_text().split("```ini\n")[1:]
+    assert blocks
+    for i, block in enumerate(blocks):
+        parse_config(write_cfg(tmp_path / f"readme{i}.cfg", block.split("```")[0]))
 
 
 def test_solver_keys_map_one_to_one_onto_solver_options(tmp_path):
@@ -354,9 +361,7 @@ def test_solver_keys_map_one_to_one_onto_solver_options(tmp_path):
     assert {key for key in KNOWN_KEYS if key.startswith("solver.")} == set(SOLVER_KEYS)
     for key, (attr, _) in SOLVER_KEYS.items():
         default = fields[attr].default
-        if isinstance(default, bool):
-            value, text = not default, str(not default).lower()
-        elif isinstance(default, int):
+        if isinstance(default, int):
             value, text = default + 1, str(default + 1)
         else:
             value, text = default / 2, repr(default / 2)
