@@ -17,7 +17,8 @@ from .config import ConfigError, RunConfig, parse_config
 from .export import (field_from_node_table, write_mesh, write_node_table,
                      write_report)
 from .geometry import GeometryError, assemble
-from .prescription import check_barriers, check_monotonicity, default_rho_samples
+from .prescription import (MONOTONE_SAMPLES, MONOTONE_TOL, check_barriers,
+                           check_monotonicity, default_rho_samples)
 from .solver import NoConvergence, SolveReport, _residual_of, continuity_solve
 from .spaceform import DomainError
 from .verify import run_all
@@ -74,8 +75,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     mapping = {"psi_family": cfg.psi.family, "K": cfg.model.K, "k": cfg.k}
-    all_ok = True
-    ran_any = False
+    reports = []
     if cfg.check_barriers:
         if cfg.barriers is None:
             raise ConfigError("barrier check requested without barriers.R1/R2")
@@ -89,32 +89,30 @@ def cmd_check(cfg: RunConfig) -> int:
             "barrier_high_margin": rep.barrier_high_margin,
             "barrier_samples": rep.barrier_samples,
         })
-        all_ok = all_ok and rep.barrier_low_ok and rep.barrier_high_ok
-        ran_any = True
+        reports.append(rep)
     if cfg.check_monotonicity:
         if cfg.check_rho_lo is not None:
-            samples = np.linspace(cfg.check_rho_lo, cfg.check_rho_hi, cfg.check_samples)
+            samples = np.linspace(cfg.check_rho_lo, cfg.check_rho_hi, MONOTONE_SAMPLES)
         elif cfg.barriers is not None:
-            samples = np.linspace(cfg.barriers[0], cfg.barriers[1], cfg.check_samples)
+            samples = np.linspace(cfg.barriers[0], cfg.barriers[1], MONOTONE_SAMPLES)
         else:
-            samples = default_rho_samples(cfg.model, cfg.check_samples)
+            samples = default_rho_samples(cfg.model)
         try:
-            rep = check_monotonicity(cfg.psi, cfg.model, rho_samples=samples,
-                                     tol=cfg.check_tol)
+            rep = check_monotonicity(cfg.psi, cfg.model, rho_samples=samples)
         except DomainError as exc:
             raise ConfigError(f"monotonicity check: a sample radius leaves the "
                               f"domain: {exc}") from None
         mapping.update({
             "monotone_ok": rep.monotone_ok,
             "monotone_max_derivative": rep.monotone_max_derivative,
-            "monotone_tol": rep.monotone_tol,
+            "monotone_tol": MONOTONE_TOL,
             "monotone_samples": rep.monotone_samples,
         })
-        all_ok = all_ok and rep.monotone_ok
-        ran_any = True
-    if not ran_any:
+        reports.append(rep)
+    if not reports:
         raise ConfigError("check: nothing requested "
                           "(enable check.barriers or check.monotonicity)")
+    all_ok = all(rep.all_ok for rep in reports)
     mapping["all_ok"] = all_ok
     write_report(cfg.report_path, mapping)
     for key, value in mapping.items():
@@ -123,8 +121,7 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = run_all(cfg.grid.n_theta, cfg.grid.n_phi,
-                      flip_christoffel=cfg.flip_christoffel)
+    results = run_all(cfg.grid.n_theta, cfg.grid.n_phi)
     mapping = {}
     for r in results:
         mapping[r.name] = "pass" if r.ok else "fail"

@@ -13,9 +13,9 @@ The format is one dotted key per line, `#` comments, blank lines ignored:
     barriers.R2 = 1.8
     outputs.node_table_path = nodes.csv
 
-Unknown keys, and psi.* keys the chosen family does not read, are
-rejected so typos fail loudly.  Output paths resolve relative to the
-config file's directory.
+Unknown keys, psi.* keys the chosen family does not read, and
+model.domain_cap with model.K = 1 are rejected so typos fail loudly.
+Output paths resolve relative to the config file's directory.
 """
 
 from __future__ import annotations
@@ -56,19 +56,14 @@ _PSI_KEYS = {"psi.family", *(f"psi.{name}" for names in (*_FAMILY_KEYS.values(),
 SOLVER_KEYS = {
     "solver.newton_tol": ("newton_tol", float),
     "solver.max_newton_iters": ("max_newton_iters", int),
-    "solver.damping": ("damping", float),
-    "solver.max_backtracks": ("max_backtracks", int),
     "solver.homotopy_steps": ("homotopy_steps", int),
     "solver.min_homotopy_step": ("min_homotopy_step", float),
-    "solver.cone_margin": ("cone_margin", float),
 }
 _BARRIER_KEYS = {"barriers.R1", "barriers.R2"}
-_CHECK_KEYS = {"check.barriers", "check.monotonicity", "check.rho_lo",
-               "check.rho_hi", "check.samples", "check.tol"}
+_CHECK_KEYS = {"check.barriers", "check.monotonicity", "check.rho_lo", "check.rho_hi"}
 _OUTPUT_KEYS = {"outputs.node_table_path", "outputs.mesh_path", "outputs.report_path"}
-_DEBUG_KEYS = {"debug.flip_christoffel"}
 KNOWN_KEYS = (_MODEL_KEYS | _GRID_KEYS | _PROBLEM_KEYS | _PSI_KEYS | set(SOLVER_KEYS)
-              | _BARRIER_KEYS | _CHECK_KEYS | _OUTPUT_KEYS | _DEBUG_KEYS)
+              | _BARRIER_KEYS | _CHECK_KEYS | _OUTPUT_KEYS)
 
 
 @dataclass
@@ -83,12 +78,9 @@ class RunConfig:
     check_monotonicity: bool = True
     check_rho_lo: Optional[float] = None
     check_rho_hi: Optional[float] = None
-    check_samples: int = 64
-    check_tol: float = 1e-8
     node_table_path: Path = Path("nodes.csv")
     mesh_path: Path = Path("mesh.obj")
     report_path: Path = Path("report.txt")
-    flip_christoffel: bool = False
 
 
 def _parse_lines(text: str) -> dict:
@@ -159,6 +151,9 @@ def parse_config(path) -> RunConfig:
     entries = _parse_lines(text)
 
     K = _get(entries, "model.K", int, required=True)
+    if K == 1 and "model.domain_cap" in entries:
+        raise ConfigError("model.K = 1 does not read model.domain_cap: "
+                          "its radial domain ends at pi/2")
     cap = _get(entries, "model.domain_cap", float, default=50.0)
     try:
         model = spaceform(K, domain_cap=cap)
@@ -201,9 +196,6 @@ def parse_config(path) -> RunConfig:
     rho_hi = _get(entries, "check.rho_hi", float)
     if (rho_lo is None) != (rho_hi is None):
         raise ConfigError("check.rho_lo and check.rho_hi must be given together")
-    samples = _get(entries, "check.samples", int, default=64)
-    if samples < 1:
-        raise ConfigError(f"check.samples must be >= 1, got {samples}")
 
     base_dir = path.resolve().parent
 
@@ -218,9 +210,6 @@ def parse_config(path) -> RunConfig:
         check_monotonicity=_get(entries, "check.monotonicity", _to_bool, default=True),
         check_rho_lo=rho_lo,
         check_rho_hi=rho_hi,
-        check_samples=samples,
-        check_tol=_get(entries, "check.tol", float, default=1e-8),
         node_table_path=out_path("outputs.node_table_path", "nodes.csv"),
         mesh_path=out_path("outputs.mesh_path", "mesh.obj"),
-        report_path=out_path("outputs.report_path", "report.txt"),
-        flip_christoffel=_get(entries, "debug.flip_christoffel", _to_bool, default=False))
+        report_path=out_path("outputs.report_path", "report.txt"))

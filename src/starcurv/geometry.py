@@ -165,12 +165,8 @@ def _tensor_partials(g: SphereGrid, tt, tp, pp):
     return d1 + d2
 
 
-def _surface_christoffels(state: GeometryState, flip_sign_bug: bool = False):
-    """Christoffel symbols of the induced metric, by finite differences of g.
-
-    flip_sign_bug negates one symbol; it exists solely so the verification
-    harness can prove it detects a broken covariant derivative.
-    """
+def _surface_christoffels(state: GeometryState):
+    """Christoffel symbols of the induced metric, by finite differences of g."""
     g = state.grid
     d1_tt, d1_tp, d1_pp, d2_tt, d2_tp, d2_pp = _tensor_partials(
         g, state.g_tt, state.g_tp, state.g_pp)
@@ -182,8 +178,6 @@ def _surface_christoffels(state: GeometryState, flip_sign_bug: bool = False):
     G_p_tt = 0.5 * (itp * d1_tt + ipp * (2.0 * d1_tp - d2_tt))
     G_p_tp = 0.5 * (itp * d2_tt + ipp * d1_pp)
     G_p_pp = 0.5 * (itp * (2.0 * d2_tp - d1_pp) + ipp * d2_pp)
-    if flip_sign_bug:
-        G_t_pp = -G_t_pp
     return G_t_tt, G_t_tp, G_t_pp, G_p_tt, G_p_tp, G_p_pp
 
 
@@ -231,12 +225,11 @@ def _cov_deriv_h(state: GeometryState, chris):
     return (T_t_tt, T_t_tp, T_t_pp), (T_p_tt, T_p_tp, T_p_pp)
 
 
-def hessian_identity_residual(model: SpaceFormModel, field: ScalarField,
-                              flip_christoffel: bool = False) -> float:
+def hessian_identity_residual(model: SpaceFormModel, field: ScalarField) -> float:
     """Max-norm defect of: surface Hessian of the radial potential
     equals warp_deriv * g - u * h."""
     state = assemble(model, field, order=_DIAG_ORDER)
-    chris = _surface_christoffels(state, flip_christoffel)
+    chris = _surface_christoffels(state)
     H_tt, H_tp, H_pp = _surface_hessian(state, state.pot, chris)
     r_tt = H_tt - (state.dphi * state.g_tt - state.u * state.h_tt)
     r_tp = H_tp - (state.dphi * state.g_tp - state.u * state.h_tp)
@@ -258,13 +251,12 @@ def support_gradient_residual(model: SpaceFormModel, field: ScalarField) -> floa
     return float(max(np.abs(lhs_t - rhs_t).max(), np.abs(lhs_p - rhs_p).max()))
 
 
-def support_hessian_residual(model: SpaceFormModel, field: ScalarField,
-                             flip_christoffel: bool = False) -> float:
+def support_hessian_residual(model: SpaceFormModel, field: ScalarField) -> float:
     """Max-norm defect of the support function Hessian identity:
     Hess u = (grad h contracted with raised potential gradient)
              + warp_deriv * h - u * h g^{-1} h."""
     state = assemble(model, field, order=_DIAG_ORDER)
-    chris = _surface_christoffels(state, flip_christoffel)
+    chris = _surface_christoffels(state)
     H_tt, H_tp, H_pp = _surface_hessian(state, state.u, chris)
     T_t, T_p = _cov_deriv_h(state, chris)
     p_t, p_p = _grad_pot(state)

@@ -285,8 +285,7 @@ def jet_stencils(grid: SphereGrid) -> JetStencils:
     return cached
 
 
-def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int,
-                     norm: str = "rms") -> float:
+def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int) -> float:
     """log2 error ratio of a derived quantity between grids (n, 2n).
 
     field_fn(theta, phi) samples the analytic field, exact_fn(theta, phi)
@@ -294,13 +293,11 @@ def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int,
     counterpart.  Returns +inf when both errors vanish (field resolved
     exactly), else log2(err_coarse / err_fine); ~2 for smooth fields.
 
-    norm="rms" (area-weighted) is the default: quantities carrying
+    The errors are area-weighted rms norms: quantities carrying
     1/sin(theta)^2 weights lose one order pointwise at the cell-centered
     rows next to a pole, but those rows have O(h^2) area, so the weighted
-    norm sees clean second order.  norm="max" is the plain sup norm.
+    norm sees clean second order.
     """
-    if norm not in ("rms", "max"):
-        raise ValueError(f"norm must be 'rms' or 'max', got {norm!r}")
     errs = []
     scale = 1.0
     for nt, np_ in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
@@ -310,11 +307,8 @@ def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int,
         exact = np.asarray(exact_fn(tt, pp), dtype=float)
         approx = np.asarray(derived_fn(covariant_jet(f), g), dtype=float)
         diff = np.abs(approx - exact)
-        if norm == "max":
-            errs.append(float(diff.max()))
-        else:
-            weight = np.sin(tt) * g.dtheta * g.dphi
-            errs.append(float(np.sqrt((weight * diff**2).sum() / weight.sum())))
+        weight = np.sin(tt) * g.dtheta * g.dphi
+        errs.append(float(np.sqrt((weight * diff**2).sum() / weight.sum())))
         scale = max(1.0, float(np.max(np.abs(exact))))
     if errs[0] < 1e-13 * scale and errs[1] < 1e-13 * scale:
         return math.inf

@@ -32,6 +32,12 @@ from .spaceform import SpaceFormModel
 
 FAMILIES = ("constant", "radial_power", "round_target", "anisotropic")
 
+# The monotonicity check passes when the largest sampled radial derivative
+# of warp^k * psi is at most MONOTONE_TOL; `check` samples MONOTONE_SAMPLES
+# radii.
+MONOTONE_TOL = 1e-8
+MONOTONE_SAMPLES = 64
+
 
 class Prescription:
     """Positive right-hand side psi(z, rho, nu) paired with a degree k, and its
@@ -154,7 +160,7 @@ class ConditionReport:
     Barrier margins are the signed slack of the inequalities (>= 0 passes).
     The monotonicity field stores the worst (largest) radial derivative of
     warp^k * psi over the sample set; the check passes when it does not
-    exceed the tolerance.
+    exceed MONOTONE_TOL.
     """
 
     barrier_low_ok: Optional[bool] = None
@@ -163,7 +169,6 @@ class ConditionReport:
     barrier_low_margin: Optional[float] = None
     barrier_high_margin: Optional[float] = None
     monotone_max_derivative: Optional[float] = None
-    monotone_tol: float = 1e-8
     barrier_samples: int = 0
     monotone_samples: int = 0
     R1: Optional[float] = None
@@ -203,46 +208,34 @@ def check_barriers(psi: Prescription, model: SpaceFormModel, R1: float, R2: floa
         R1=float(R1), R2=float(R2))
 
 
-def default_rho_samples(model: SpaceFormModel, count: int = 64) -> np.ndarray:
+def default_rho_samples(model: SpaceFormModel) -> np.ndarray:
     hi = model.a - 1e-6 if model.K == 1 else min(model.a, 3.0)
     lo = 0.05 * hi
-    return np.linspace(lo, 0.95 * hi, count)
+    return np.linspace(lo, 0.95 * hi, MONOTONE_SAMPLES)
 
 
 def check_monotonicity(psi: Prescription, model: SpaceFormModel,
-                       rho_samples=None, directions=None, normals=None,
-                       tol: float = 1e-8) -> ConditionReport:
+                       rho_samples) -> ConditionReport:
     """Report the radial monotonicity condition at frozen normal.
 
-    For each sampled (z, nu) pair and radius rho, the derivative
+    For every fourth direction z of an 8x16 grid, at the radial normal
+    nu = z, and each radius rho of rho_samples, the derivative
     d/d(rho) [warp(rho)^k psi(z, rho, nu)] = warp^k (k q psi + psi_rho),
     q = warp' / warp, with psi_rho from psi.partials; the condition requires
-    it to stay <= tol everywhere.  The normal components are held fixed in
-    the chart while rho varies.  Every sample must lie in (0, a); warp
-    raises DomainError otherwise.
+    it to stay <= MONOTONE_TOL everywhere.  The normal components are held
+    fixed in the chart while rho varies.  Every sample must lie in (0, a);
+    warp raises DomainError otherwise.
     """
-    if rho_samples is None:
-        rho_samples = default_rho_samples(model)
-    rho_samples = np.asarray(rho_samples, dtype=float)
-    if directions is None:
-        g = build_grid(8, 16)
-        z, _, _ = g.unit_vectors()
-        directions = z.reshape(-1, 3)[::4]
-    directions = np.asarray(directions, dtype=float)
-    normals = directions if normals is None else np.asarray(normals, dtype=float)
-    if normals.shape != directions.shape:
-        raise ValueError("normals must pair one-to-one with directions")
+    z, _, _ = build_grid(8, 16).unit_vectors()
     k = psi.k
 
-    rr = rho_samples[None, :]
-    zz = directions[:, None, :]
-    nn = normals[:, None, :]
+    rr = np.asarray(rho_samples, dtype=float)[None, :]
+    zz = z.reshape(-1, 3)[::4][:, None, :]
     wk = model.warp(rr) ** k
-    psi_rho, _ = psi.partials(zz, rr, nn)
-    deriv = wk * (k * model.sphere_curvature(rr) * psi(zz, rr, nn) + psi_rho)
+    psi_rho, _ = psi.partials(zz, rr, zz)
+    deriv = wk * (k * model.sphere_curvature(rr) * psi(zz, rr, zz) + psi_rho)
     worst = float(deriv.max())
     return ConditionReport(
-        monotone_ok=worst <= tol,
+        monotone_ok=worst <= MONOTONE_TOL,
         monotone_max_derivative=worst,
-        monotone_tol=tol,
         monotone_samples=int(deriv.size))

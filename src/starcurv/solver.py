@@ -26,8 +26,8 @@ solution, and the two solutions that meet at a fold have opposite signs.
 The test is necessary, not sufficient: two solutions of equal index can
 coexist, and it cannot tell them apart.  Every accepted Newton iterate
 must stay strictly inside the radial domain and keep the principal
-curvatures inside the degree-k positivity cone with a configurable
-margin; the report carries the a priori bound monitors (radius range,
+curvatures inside the degree-k positivity cone with margin at least
+CONE_MARGIN; the report carries the a priori bound monitors (radius range,
 gradient sup, largest curvature, support minimum, cone margin) for every
 accepted iterate.
 
@@ -68,28 +68,29 @@ class ConeBreach(NoConvergence):
 
 @dataclass
 class SolverOptions:
-    """Newton, line-search and continuation settings; the first continuation
-    step is 1/homotopy_steps."""
+    """Newton and continuation settings; the first continuation step is
+    1/homotopy_steps.  The line search's are the constants below."""
 
     newton_tol: float = 1e-10
     max_newton_iters: int = 50
-    damping: float = 0.5
-    max_backtracks: int = 30
     homotopy_steps: int = 1
     min_homotopy_step: float = 1e-4
-    cone_margin: float = 1e-10
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < 1.0:
             raise ValueError("newton_tol must be in (0, 1)")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must be in (0, 1)")
-        for name in ("max_newton_iters", "max_backtracks", "homotopy_steps"):
+        for name in ("max_newton_iters", "homotopy_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("min_homotopy_step", "cone_margin"):
-            if not getattr(self, name) > 0.0:     # NaN fails too
-                raise ValueError(f"{name} must be positive")
+        if not self.min_homotopy_step > 0.0:     # NaN fails too
+            raise ValueError("min_homotopy_step must be positive")
+
+
+# The line search halves the step (DAMPING) up to MAX_BACKTRACKS times, and
+# accepts a candidate only when its cone margin is at least CONE_MARGIN.
+DAMPING = 0.5
+MAX_BACKTRACKS = 30
+CONE_MARGIN = 1e-10
 
 
 # The per-iterate monitor lists of a SolveReport, in the order record() takes
@@ -447,7 +448,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
 
     Backtracking accepts a step only when the candidate stays strictly
     inside the radial domain, keeps the curvatures inside the cone with
-    margin >= cone_margin, and strictly decreases the residual sup norm.
+    margin >= CONE_MARGIN, and strictly decreases the residual sup norm.
     Raises ConeBreach when no step length is even admissible and
     NoConvergence when budgets run out; both carry the partial report.
     When a step was damped, the converged report's branch_index is sign
@@ -462,9 +463,9 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     state, res, margin = _evaluate(model, fieldv, psi, k)
     rnorm = float(np.abs(res).max())
     report.record(rnorm, state, margin)
-    if margin < opts.cone_margin:
+    if margin < CONE_MARGIN:
         raise ConeBreach(
-            f"seed is not admissible: cone margin {margin!r} < {opts.cone_margin!r}",
+            f"seed is not admissible: cone margin {margin!r} < {CONE_MARGIN!r}",
             field=fieldv, report=report)
 
     for _ in range(opts.max_newton_iters):
@@ -481,20 +482,20 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
         alpha = 1.0
         accepted = False
         admissible_seen = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             cf = ScalarField(fieldv.grid, fieldv.values + alpha * delta)
             try:
                 cstate, cres, cmargin = _evaluate(model, cf, psi, k)
             except (GeometryError, DomainError):
                 cstate = None
-            if cstate is not None and cmargin >= opts.cone_margin:
+            if cstate is not None and cmargin >= CONE_MARGIN:
                 admissible_seen = True
                 cnorm = float(np.abs(cres).max())
                 if cnorm < rnorm:
                     fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
                     accepted = True
                     break
-            alpha *= opts.damping
+            alpha *= DAMPING
         if not accepted:
             if not admissible_seen:
                 raise ConeBreach(

@@ -99,14 +99,11 @@ def check_algebra_identities(draws: int = 300) -> list:
     ]
 
 
-def check_identity_refinement(n_theta: int = 16, n_phi: int = 32,
-                              flip_christoffel: bool = False) -> list:
+def check_identity_refinement(n_theta: int = 16, n_phi: int = 32) -> list:
     checks = {
-        "identity_potential_hessian": lambda m, f: hessian_identity_residual(
-            m, f, flip_christoffel=flip_christoffel),
+        "identity_potential_hessian": hessian_identity_residual,
         "identity_support_gradient": support_gradient_residual,
-        "identity_support_hessian": lambda m, f: support_hessian_residual(
-            m, f, flip_christoffel=flip_christoffel),
+        "identity_support_hessian": support_hessian_residual,
     }
     pairs = ((n_theta, n_phi), (2 * n_theta, 2 * n_phi))
     out = []
@@ -197,11 +194,11 @@ def check_scaling_covariance(n_theta: int = 16, n_phi: int = 32) -> list:
     ]
 
 
-def run_all(n_theta: int = 16, n_phi: int = 32, flip_christoffel: bool = False) -> list:
+def run_all(n_theta: int = 16, n_phi: int = 32) -> list:
     results = []
     results += check_spaceform_identities()
     results += check_algebra_identities()
-    results += check_identity_refinement(n_theta, n_phi, flip_christoffel)
+    results += check_identity_refinement(n_theta, n_phi)
     results += check_rotation_equivariance(n_theta, n_phi)
     results += check_jacobian_oracle(n_theta, n_phi)
     results += check_scaling_covariance(n_theta, n_phi)

@@ -19,13 +19,12 @@ from starcurv.geometry import (hessian_identity_residual,
                                support_hessian_residual)
 from starcurv.grid import ScalarField, build_grid, constant_field, field_from_function
 from starcurv.prescription import builtin, check_barriers, check_monotonicity
-from starcurv.solver import (SolverOptions, continuity_solve, jacobian,
+from starcurv.solver import (CONE_MARGIN, SolverOptions, continuity_solve, jacobian,
                              newton_solve, residual, uniqueness_probe)
 from starcurv.spaceform import spaceform
 from starcurv.symfunc import sigma, sigma_partial
 
 OPTS = SolverOptions(newton_tol=1e-11)
-DELTA_CONE = OPTS.cone_margin
 
 
 def report_line(number, name, ok):
@@ -210,7 +209,7 @@ def test_criterion_7_admissibility_invariant(round_runs, family_c_run,
     for rep in reports:
         for margin in rep.cone_margin:
             iterates += 1
-            if margin < DELTA_CONE:
+            if margin < CONE_MARGIN:
                 violations += 1
     ok = violations == 0 and iterates > 0
     print(f"\n  {iterates} accepted iterates audited, {violations} cone violations")

@@ -243,10 +243,9 @@ def test_verify_passes_on_default_grid(tmp_path):
     assert report["jacobian_oracle"] == "pass"
 
 
-def test_verify_detects_injected_christoffel_bug(tmp_path):
-    cfg = write_cfg(tmp_path / "verify.cfg", ROUND_CFG + "debug.flip_christoffel = true\n")
-    proc = run_cli(["verify", str(cfg)], tmp_path)
-    assert proc.returncode == 1
+def test_verify_detects_injected_christoffel_bug(tmp_path, flip_christoffel):
+    cfg = write_cfg(tmp_path / "verify.cfg", ROUND_CFG)
+    assert main(["verify", str(cfg)]) == 1
     report = read_report(tmp_path / "report.txt")
     assert report["all"] == "fail"
     assert report["identity_potential_hessian"] == "fail"
@@ -278,10 +277,9 @@ def test_parse_config_rejects_half_barriers(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    "check.samples = 0\n",
     "check.rho_lo = -1.0\ncheck.rho_hi = 1.0\n",
     "check.rho_lo = 0.5\n",
-], ids=["zero-samples", "negative-rho-lo", "rho-lo-alone"])
+], ids=["negative-rho-lo", "rho-lo-alone"])
 def test_check_config_errors_exit_2(tmp_path, capsys, extra):
     cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + extra)
     assert main(["check", str(cfg)]) == 2
@@ -315,11 +313,25 @@ def test_solve_with_unread_psi_keys_exits_2(tmp_path, capsys):
     assert not (tmp_path / "nodes.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["solver.fd_step = 1e-6", "solver.normalized = true"],
-                         ids=["fd_step", "normalized"])
-def test_solve_with_removed_solver_key_exits_2(tmp_path, capsys, line):
-    # the Jacobian is closed form, so no finite-difference step is left to
-    # set, and the residual has the one form sigma_k - psi: both keys are unknown
+REMOVED_KEY_LINES = {
+    # the Jacobian is closed form, so no finite-difference step is left to set
+    "fd_step": "solver.fd_step = 1e-6",
+    # the residual has the one form sigma_k - psi
+    "normalized": "solver.normalized = true",
+    # the line search's halving, budget and margin are solver constants
+    "damping": "solver.damping = 0.25",
+    "max_backtracks": "solver.max_backtracks = 10",
+    "cone_margin": "solver.cone_margin = nan",
+    # check samples MONOTONE_SAMPLES radii against MONOTONE_TOL
+    "check_samples": "check.samples = 0",
+    "check_tol": "check.tol = nan",
+    # a broken Christoffel symbol is injected by the tests, not by a run
+    "flip_christoffel": "debug.flip_christoffel = true",
+}
+
+
+@pytest.mark.parametrize("line", REMOVED_KEY_LINES.values(), ids=REMOVED_KEY_LINES.keys())
+def test_solve_with_removed_key_exits_2(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + line + "\n")
     assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -328,13 +340,17 @@ def test_solve_with_removed_solver_key_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "nodes.csv").exists()
 
 
-def test_solve_with_nan_cone_margin_exits_2(tmp_path, capsys):
-    # NaN is not a positive margin: a config error, not a cone breach
-    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG + "solver.cone_margin = nan\n")
+def test_solve_with_domain_cap_for_K_plus_1_exits_2(tmp_path, capsys):
+    # the K = +1 domain ends at pi/2 whatever the cap says, so a cap there
+    # is a key the run would not read
+    body = ROUND_CFG.replace("model.K = 0", "model.K = 1") + "model.domain_cap = 10\n"
+    cfg = write_cfg(tmp_path / "run.cfg", body)
     assert main(["solve", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "cone_margin" in err
+    assert err.startswith("config error:") and "model.domain_cap" in err
     assert not (tmp_path / "nodes.csv").exists()
+    # without the cap the same run is valid
+    parse_config(write_cfg(tmp_path / "ok.cfg", ROUND_CFG.replace("model.K = 0", "model.K = 1")))
 
 
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -368,6 +384,54 @@ def test_solver_keys_map_one_to_one_onto_solver_options(tmp_path):
         body = ROUND_CFG.replace("solver.newton_tol = 1e-11\n", f"{key} = {text}\n")
         cfg = write_cfg(tmp_path / "run.cfg", body)
         assert getattr(parse_config(cfg).solver, attr) == value, key
+
+
+# A valid value for every key outside psi.* (the psi.* keys have their own
+# test above), and a second valid value for the same key.
+KEY_VALUES = {
+    "model.K": ("0", "-1"),
+    "model.domain_cap": ("40", "30"),
+    "grid.n_theta": ("16", "8"),
+    "grid.n_phi": ("32", "16"),
+    "problem.k": ("2", "1"),
+    "solver.newton_tol": ("1e-11", "1e-10"),
+    "solver.max_newton_iters": ("50", "51"),
+    "solver.homotopy_steps": ("1", "2"),
+    "solver.min_homotopy_step": ("1e-4", "5e-5"),
+    "barriers.R1": ("0.5", "0.6"),
+    "barriers.R2": ("2.0", "2.5"),
+    "check.barriers": ("true", "false"),
+    "check.monotonicity": ("true", "false"),
+    "check.rho_lo": ("0.3", "0.4"),
+    "check.rho_hi": ("3.0", "2.5"),
+    "outputs.node_table_path": ("a.csv", "b.csv"),
+    "outputs.mesh_path": ("a.obj", "b.obj"),
+    "outputs.report_path": ("a.txt", "b.txt"),
+}
+
+
+def _run_config_fields(cfg) -> dict:
+    # RunConfig's fields, with the grid and the prescription (which have no
+    # value equality) replaced by what identifies them
+    out = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    out["grid"] = cfg.grid.shape
+    out["psi"] = (cfg.psi.family, cfg.psi.params, cfg.psi.k)
+    return out
+
+
+def test_every_key_changes_the_parsed_config(tmp_path):
+    # a key that parse_config accepts but never reads fails here
+    assert set(KEY_VALUES) == {key for key in KNOWN_KEYS if not key.startswith("psi.")}
+    psi_lines = "psi.family = constant\npsi.c = 1.0\n"
+
+    def parsed(values):
+        body = psi_lines + "".join(f"{key} = {value}\n" for key, value in values.items())
+        return _run_config_fields(parse_config(write_cfg(tmp_path / "run.cfg", body)))
+
+    base_values = {key: pair[0] for key, pair in KEY_VALUES.items()}
+    base = parsed(base_values)
+    for key, (_, other) in KEY_VALUES.items():
+        assert parsed({**base_values, key: other}) != base, key
 
 
 def test_solve_without_radial_start_writes_report(tmp_path):

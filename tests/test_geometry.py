@@ -182,11 +182,11 @@ def test_codazzi_symmetry_converges(K):
     assert res[0] / res[1] >= 3.0
 
 
-def test_flipped_christoffel_breaks_identity():
+def test_flipped_christoffel_breaks_identity(flip_christoffel):
     m = spaceform(0)
     fn = lambda tt, pp: 1.0 + 0.1 * np.cos(tt)
-    res = [hessian_identity_residual(m, field_from_function(build_grid(nt, 2 * nt), fn),
-                                     flip_christoffel=True) for nt in (16, 32)]
+    res = [hessian_identity_residual(m, field_from_function(build_grid(nt, 2 * nt), fn))
+           for nt in (16, 32)]
     # broken covariant derivative: residual does not converge
     assert res[0] / res[1] < 1.5
     assert res[1] > 1e-3
