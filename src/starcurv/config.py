@@ -154,9 +154,8 @@ def parse_config(path) -> RunConfig:
     if K == 1 and "model.domain_cap" in entries:
         raise ConfigError("model.K = 1 does not read model.domain_cap: "
                           "its radial domain ends at pi/2")
-    cap = _get(entries, "model.domain_cap", float, default=50.0)
     try:
-        model = spaceform(K, domain_cap=cap)
+        model = spaceform(K, domain_cap=_get(entries, "model.domain_cap", float))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 

@@ -36,12 +36,15 @@ def _format_rows(template: str, rows: np.ndarray) -> str:
 
 
 def write_node_table(path, state: GeometryState, residual_values: np.ndarray) -> None:
+    """theta and phi repeat along the grid's rows and columns, so each of
+    them is formatted once, into the template the node values fill."""
     g = state.grid
-    tt, pp = g.mesh()
-    cols = (tt, pp, state.rho, state.kappa1, state.kappa2, state.u, residual_values)
+    cols = (state.rho, state.kappa1, state.kappa2, state.u, residual_values)
     rows = np.column_stack([np.asarray(c, dtype=float).ravel() for c in cols])
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    Path(path).write_text(NODE_TABLE_HEADER + "\n" + _format_rows(template, rows))
+    thetas, phis = ([_fmt(x) for x in axis.tolist()] for axis in (g.theta, g.phi))
+    tail = ",%.17g" * rows.shape[1] + "\n"
+    template = "".join(f"{t},{p}{tail}" for t in thetas for p in phis)
+    Path(path).write_text(NODE_TABLE_HEADER + "\n" + template % tuple(rows.ravel().tolist()))
 
 
 def read_node_table(path) -> dict:

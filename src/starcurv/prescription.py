@@ -70,15 +70,18 @@ class Prescription:
         return np.linspace(0.05 * hi, 0.95 * hi, count)
 
     def _positivity_probe(self):
-        g = build_grid(8, 16)
-        z, _, _ = g.unit_vectors()
+        """Evaluate psi on an 8x16 grid at every probe radius in one call, the
+        radii on a leading axis, and report the first radius where it fails."""
+        z, _, _ = build_grid(8, 16).unit_vectors()
         z = z.reshape(-1, 3)
-        for r in self._probe_radii():
-            vals = self(z, np.full(len(z), r), z)
-            if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-                raise ValueError(
-                    f"prescription {self.family!r} is not strictly positive "
-                    f"(min {np.nanmin(vals)!r} at rho={r!r})")
+        radii = self._probe_radii()
+        vals = np.broadcast_to(self(z, radii[:, None], z), (len(radii), len(z)))
+        bad = ~np.all(np.isfinite(vals) & (vals > 0.0), axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"prescription {self.family!r} is not strictly positive "
+                f"(min {np.nanmin(vals[i])!r} at rho={radii[i]!r})")
 
     def blend(self, other: "Prescription", t: float) -> "Prescription":
         """Convex combination (1-t) self + t other, partials too; positivity is inherited."""

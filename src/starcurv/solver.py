@@ -19,7 +19,16 @@ refinement against the LU of an earlier J.  J is factored again as soon
 as the refinement's observed contraction cannot reach its tolerance
 within its sweep budget.  The continuation tries the whole path
 t = 0 -> 1 in one step first, halves a step that fails and doubles the
-next one after a step that succeeds.  A stage whose Newton solve damped a
+next one after a step that succeeds.  It is an Euler-Newton
+predictor-corrector: each attempt of the first stage after t = 0 seeds
+Newton with the tangent predictor start - J0^-1 F(start; psi_t).  J0, the
+Jacobian at the radial start, commutes with phi-shifts for every target,
+so PhiModes solves it one phi-Fourier mode at a time, a tridiagonal
+system in theta each, with no LU.  The predictor is skipped when the
+start already meets newton_tol at t, and dropped for one retry from the
+start when its field leaves (0, a) or is not admissible; later stages
+start from the last solution.  A report's iterations count Newton
+corrector steps only.  A stage whose Newton solve damped a
 step must also keep the branch index, the sign of det J, of the radial
 start: that sign is the local Leray-Schauder index of an isolated
 solution, and the two solutions that meet at a fold have opposite signs.
@@ -289,19 +298,20 @@ def _psi_linearized(state: GeometryState, psi: Prescription):
 
 
 def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
-             k: int) -> sp.csr_matrix:
+             k: int, state: Optional[GeometryState] = None) -> sp.csr_matrix:
     """Sparse residual Jacobian J = sum_c diag(dF/dc) @ D_c.
 
     dF/dc is the derivative of each node's residual in its own raw jet
-    component c, closed form at the geometry of the iterate, which
-    assemble builds and checks once: sigma_k's part in all six components
-    (_sigma_linearized), psi's in the value, f_t and f_p components only
-    (_psi_linearized), since rho and nu read no second derivative.  D_c
-    are the grid's stencil matrices, which share one 9-point pattern, so
-    J is their weights combined row by row.
+    component c, closed form at the geometry of the iterate: state, when
+    the caller has assembled it already, else assemble's.  sigma_k's part
+    is in all six components (_sigma_linearized), psi's in the value, f_t
+    and f_p components only (_psi_linearized), since rho and nu read no
+    second derivative.  D_c are the grid's stencil matrices, which share
+    one 9-point pattern, so J is their weights combined row by row.
     """
     g = fieldv.grid
-    state = assemble(model, fieldv)
+    if state is None:
+        state = assemble(model, fieldv)
     dfdc = _sigma_linearized(model.K, state, k)
     dpsi = [] if psi is None else _psi_linearized(state, psi)
     for c, d in enumerate(dpsi):
@@ -471,7 +481,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     for _ in range(opts.max_newton_iters):
         if rnorm <= opts.newton_tol:
             break
-        J = jacobian(model, fieldv, psi, k)
+        J = jacobian(model, fieldv, psi, k, state)
         if factor is None:
             held.lu = None
         try:
@@ -550,18 +560,28 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
     return b
 
 
+# The radial start's scan evaluates psi at a chunk of radii per call, at
+# most RADIAL_CHUNK values (1 MB of float64) over those radii and all nodes.
+RADIAL_CHUNK = 2**17
+
+
 def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
                   k: int) -> float:
     """Radius r0 whose centered sphere solves the degree-k radial problem
     at the target's mean scale: C(2,k) q(r0)^k = mean_z psi(z, r0, radial).
-    Raises NoConvergence, with no field and a report of only its message,
-    when the scan finds no root."""
+
+    The root is bracketed by the first sign change (or zero) of that gap
+    over a geometric scan of radii, evaluated a chunk of radii per psi call
+    on a broadcast radii axis, and refined by _illinois.  Raises
+    NoConvergence, with no field and a report of only its message, when
+    the scan finds no root."""
     z, _, _ = grid.unit_vectors()
     z = z.reshape(-1, 3)
 
     def gap(r):
-        vals = psi(z, np.full(len(z), r), z)
-        return model.sphere_sigma(r, k) - float(np.mean(vals))
+        r = np.asarray(r, dtype=float)[..., None]   # one radius, or a chunk of them
+        vals = np.broadcast_to(psi(z, r, z), r.shape[:-1] + (len(z),))
+        return model.sphere_sigma(r[..., 0], k) - np.mean(vals, axis=-1)
 
     top = model.a - 1e-6 if model.K == 1 else model.a * 0.98
     rs = np.geomspace(1e-3, min(top, 30.0), 240)
@@ -569,39 +589,80 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
         # (30, top) at the same ratio, reached only when (1e-3, 30] has no sign change
         n = math.ceil(math.log(top / 30.0) / math.log(rs[1] / rs[0]))
         rs = np.concatenate([rs, np.geomspace(30.0, top, n + 1)[1:]])
-    prev_r, prev_g = rs[0], gap(rs[0])
-    for r in rs[1:]:
-        cur = gap(r)
-        if prev_g == 0.0:
-            return float(prev_r)
-        if prev_g * cur < 0.0:
-            return float(_illinois(gap, float(prev_r), float(r), prev_g, cur))
-        prev_r, prev_g = r, cur
+    chunk = max(1, RADIAL_CHUNK // len(z))
+    gaps = np.empty(0)
+    for lo in range(0, len(rs), chunk):
+        gaps = np.concatenate([gaps, gap(rs[lo:lo + chunk])])
+        g0, g1 = gaps[:-1], gaps[1:]
+        hits = np.flatnonzero((g0 == 0.0) | (g0 * g1 < 0.0))
+        if hits.size:
+            i = hits[0]
+            if g0[i] == 0.0:
+                return float(rs[i])
+            return float(_illinois(gap, float(rs[i]), float(rs[i + 1]), g0[i], g1[i]))
     msg = ("no radial start radius: the radial problem "
            "C(2,k) q(r)^k = mean(psi) has no root in the domain")
     raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
+class PhiModes:
+    """J x = b for a J that commutes with the shift by one longitude, solved
+    one phi-Fourier mode at a time.
+
+    Such a J has J[(i, j), (i', j')] = C_ii'(j' - j), so its rows at
+    phi-index 0 hold every C.  It maps x_i' w^(m j'), w = exp(2 pi i /
+    n_phi), to (B_m x)_i w^(m j) with B_m = sum_d C(d) w^(md): J x = b
+    splits into one n_theta x n_theta system per mode m = 0 .. n_phi/2 of
+    the real FFT in phi.  The 9-point stencil makes every B_m tridiagonal,
+    since a ghost beyond a pole is a node of the pole row itself, half a
+    turn away, and lands on the diagonal.  The B_m are factored by Thomas
+    elimination (no pivoting), one sweep vectorized over the modes.
+    """
+
+    __slots__ = ("_n_phi", "_sub", "_piv", "_ratio")
+
+    def __init__(self, J: sp.csr_matrix, grid: SphereGrid):
+        rows = J[::grid.n_phi].tocoo()                      # nodes (i, 0)
+        col_t, col_p = np.divmod(rows.col, grid.n_phi)
+        bands = np.zeros((3, grid.n_theta, grid.n_phi))      # C_i,i-1  C_ii  C_i,i+1
+        np.add.at(bands, (col_t - rows.row + 1, rows.row, col_p), rows.data)
+        # sum_d C(d) w^(md) of a real C is the conjugate of numpy's forward FFT
+        sub, diag, sup = np.conj(np.fft.rfft(bands, axis=-1))
+        piv = np.empty_like(diag)
+        ratio = np.empty_like(sup[:-1])                     # sup_i / piv_i
+        piv[0] = diag[0]
+        for i in range(1, grid.n_theta):
+            ratio[i - 1] = sup[i - 1] / piv[i - 1]
+            piv[i] = diag[i] - sub[i] * ratio[i - 1]
+        self._n_phi, self._sub, self._piv, self._ratio = grid.n_phi, sub, piv, ratio
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with J x = rhs, both of the grid's (n_theta, n_phi) shape."""
+        sub, piv, ratio = self._sub, self._piv, self._ratio
+        y = np.fft.rfft(rhs, axis=-1)
+        y[0] /= piv[0]
+        for i in range(1, len(y)):
+            y[i] = (y[i] - sub[i] * y[i - 1]) / piv[i]
+        for i in range(len(y) - 2, -1, -1):
+            y[i] -= ratio[i] * y[i + 1]
+        return np.fft.irfft(y, n=self._n_phi, axis=-1)
+
+    def det_sign(self) -> int:
+        """sign det J = sign det B_0 * sign det B_(n_phi/2), from the Thomas
+        pivots of those two real blocks: det J = prod_m det B_m over all
+        n_phi modes, and B_m, B_(n_phi - m) are complex conjugates with a
+        positive product of determinants.  0 for a zero pivot, after which
+        the later ones are infinite or NaN."""
+        signs = np.sign(self._piv[:, [0, -1]].real)
+        return int(np.prod(signs)) if np.all(np.isfinite(signs)) else 0
+
+
 def _start_index(model: SpaceFormModel, fieldv: ScalarField, psi0: Prescription,
                  k: int) -> int:
-    """sign det J at the t = 0 solution, from its two real Fourier blocks in phi.
-
-    There the field is constant in phi and psi0 is radial, so J commutes
-    with the shift by one longitude: J[(i, j), (i', j')] = C_ii'(j' - j).
-    Its Fourier blocks B_m = sum_d C(d) w^(md), n_theta x n_theta, give
-    det J = prod_m det B_m, and B_m, B_(n_phi - m) are complex conjugates
-    with a positive product of determinants, so sign det J = sign det B_0
-    * sign det B_(n_phi/2).  slogdet, because det overflows at 128x256.
-    """
-    g = fieldv.grid
-    rows = jacobian(model, fieldv, psi0, k)[::g.n_phi].tocoo()   # nodes (i, 0)
-    col_t, col_p = np.divmod(rows.col, g.n_phi)
-    sign = 1.0
-    for weight in (1.0, 1.0 - 2.0 * (col_p % 2)):
-        block = np.zeros((g.n_theta, g.n_theta))
-        np.add.at(block, (rows.row, col_t), weight * rows.data)
-        sign *= np.linalg.slogdet(block)[0]
-    return int(sign)
+    """sign det J at a field constant in phi with a radial psi0, the t = 0
+    solution being one: the start's branch index that continuity_solve
+    reads from its PhiModes of J0, here from a Jacobian of its own."""
+    return PhiModes(jacobian(model, fieldv, psi0, k), fieldv.grid).det_sign()
 
 
 def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescription,
@@ -611,13 +672,25 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     The start is the round-sphere-targeting family with exponent k + 2
     (strictly radially monotone) anchored at the radius solving the radial
     problem at the target's mean scale; the path is the convex blend with
-    the target, marched by Newton correction from the last accepted
-    solution.  The first step is 1/homotopy_steps (by default the whole
-    path); a failed step is halved from the t it tried, and an accepted one
-    doubles the next, without a cap.  A step fails when its Newton solve
-    fails, or when that solve damped a step and the branch index at its
-    solution (Newton's report) differs from the start's (_start_index,
-    computed the first time a stage needs it).  Damping can lead a start
+    the target.  Each stage is an Euler-Newton predictor-corrector step
+    (Allgower and Georg, Introduction to Numerical Continuation Methods,
+    2003, ch. 2).  While the iterate is still the start, the predictor is
+    the tangent step start - J0^-1 F(start; psi_t), with J0 the Jacobian
+    at the start and psi0: a constant field with a radial prescription, so
+    J0 commutes with phi-shifts for every target and PhiModes solves it
+    mode by mode, with no LU.  The predictor is skipped when the start
+    already meets newton_tol at t (the round sphere), and dropped for one
+    retry of the same t from the start when the predicted field leaves
+    (0, a) or is not admissible (ConeBreach at Newton's seed).  Later
+    stages start Newton from the last accepted solution.  Newton corrects;
+    the report's iterations count its steps only, not the predictor.
+
+    The first step is 1/homotopy_steps (by default the whole path); a
+    failed step is halved from the t it tried, and an accepted one doubles
+    the next, without a cap.  A step fails when its Newton solve fails, or
+    when that solve damped a step and the branch index at its solution
+    (Newton's report) differs from the start's (PhiModes.det_sign of
+    J0).  Damping can lead a start
     outside the region where undamped Newton contracts to another solution
     of the same equation, and in K = +1 it does; the two solutions that
     meet at a fold have opposite indices.  The test is necessary, not
@@ -642,24 +715,45 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         raise type(exc)(report.message, field=exc.field, report=report) from None
     report.absorb(sub)
     report.homotopy_t.append(0.0)
-    start, start_index = fieldv, None
+    # A Newton solve that returns after no step returns its seed, so the
+    # iterate leaves the start only through a stage that took steps from
+    # it, and every such stage built modes first: a damped stage finds them.
+    start, start_state = fieldv, assemble(model, fieldv)
+    modes = None
+    plain = False          # the next attempt starts Newton at the start itself
     while t < 1.0:
         t_next = min(t + dt, 1.0)
         if 1.0 - t_next < opts.min_homotopy_step:
             t_next = 1.0
         psi_t = psi0.blend(psi_target, t_next)
+        seed = fieldv
+        if fieldv is start and not plain:
+            _, res, _ = _residual_of(start_state, psi_t, k)
+            if not np.abs(res).max() <= opts.newton_tol:
+                if modes is None:
+                    modes = PhiModes(jacobian(model, start, psi0, k, start_state), grid)
+                values = start.values - modes.solve(res)
+                try:
+                    model.check_domain(values)
+                except DomainError:
+                    plain = True
+                    continue
+                seed = ScalarField(grid, values)
+        plain = False
         failure = None
         try:
-            solved, sub = newton_solve(model, fieldv, psi_t, k, opts, factor=factor)
+            solved, sub = newton_solve(model, seed, psi_t, k, opts, factor=factor)
         except NoConvergence as exc:
+            if (seed is not fieldv and isinstance(exc, ConeBreach)
+                    and exc.report.cone_margin[0] < CONE_MARGIN):
+                plain = True
+                continue
             failure = str(exc)
         else:
-            if sub.branch_index and start_index is None:
-                start_index = _start_index(model, start, psi0, k)
-            if sub.branch_index and sub.branch_index != start_index:
+            if sub.branch_index and sub.branch_index != modes.det_sign():
                 report.branch_rejections += 1
                 failure = (f"branch index {sub.branch_index:+d} at the solution for "
-                           f"t = {t_next!r}, the start's is {start_index:+d}")
+                           f"t = {t_next!r}, the start's is {modes.det_sign():+d}")
         if failure is not None:
             dt = 0.5 * (t_next - t)
             if dt < opts.min_homotopy_step:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -108,11 +109,18 @@ class SpaceFormModel:
         return math.comb(2, k) * self.sphere_curvature(rho) ** k
 
 
-def spaceform(K: int, domain_cap: float = DEFAULT_DOMAIN_CAP) -> SpaceFormModel:
-    """Build the model space of curvature K with a finite domain endpoint."""
+def spaceform(K: int, domain_cap: Optional[float] = None) -> SpaceFormModel:
+    """Build the model space of curvature K with a finite domain endpoint.
+
+    K = +1 ends at pi/2 and takes no domain_cap; K = 0 and -1 end at
+    domain_cap, DEFAULT_DOMAIN_CAP when it is None."""
     if K not in (-1, 0, 1):
         raise ValueError(f"K must be -1, 0 or +1, got {K!r}")
-    if not (domain_cap > 0.0 and math.isfinite(domain_cap)):
-        raise ValueError(f"domain_cap must be positive and finite, got {domain_cap!r}")
-    a = math.pi / 2.0 if K == 1 else float(domain_cap)
+    if K == 1 and domain_cap is not None:
+        raise ValueError(f"K = +1 takes no domain_cap: its radial domain ends at pi/2, "
+                         f"got {domain_cap!r}")
+    cap = DEFAULT_DOMAIN_CAP if domain_cap is None else domain_cap
+    if not (cap > 0.0 and math.isfinite(cap)):
+        raise ValueError(f"domain_cap must be positive and finite, got {cap!r}")
+    a = math.pi / 2.0 if K == 1 else float(cap)
     return SpaceFormModel(K=K, a=a)

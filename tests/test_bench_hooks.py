@@ -24,9 +24,10 @@ def test_span_recorder_installs_and_uninstalls(monkeypatch):
 
 
 def test_traced_solve_has_one_geometry_per_jacobian(tmp_path, monkeypatch):
-    # a traced 16x32 headline solve: each Jacobian builds its geometry with
-    # one assemble call, and the line search's trials stay exactly the
-    # residual evaluations newton_solve makes
+    # a traced 16x32 headline solve: each Jacobian reads the geometry its
+    # caller assembled for the iterate and assembles none itself, and the
+    # line search's trials stay exactly the residual evaluations
+    # newton_solve makes
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
     import workloads
@@ -52,5 +53,5 @@ def test_traced_solve_has_one_geometry_per_jacobian(tmp_path, monkeypatch):
     metrics = {name: value for name, (value, _) in
                spans.derive(spans.summarize(rec.spans, rec.counts)).items()}
     assert metrics["solver.jacobian.calls"] > 0
-    assert metrics["solver.jacobian.evals_per_call"] == 1
+    assert metrics["solver.jacobian.evals_per_call"] == 0
     assert metrics["solver.line_search.trials"] == len(evaluations)

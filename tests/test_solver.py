@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from starcurv import solver
+from starcurv.config import parse_config
 from starcurv.geometry import pointwise_geometry
 from starcurv.grid import (ScalarField, build_grid, constant_field, field_from_function,
                            jet_from_partials, jet_stencils, raw_jet)
@@ -463,12 +465,10 @@ def _start(m, g, psi, opts=TIGHT):
     return start, psi0
 
 
-def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16):
+def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16, monkeypatch):
     # K = +1, r_bar = 0.8, epsilon = 0.24 has a second solution.  A damped
     # Newton solve from the radial start straight at t = 1 converges to it,
-    # with branch index -1 against the start's +1, so the continuation
-    # rejects that stage and reaches t = 1 through t = 0.5, where the
-    # 10-step run ends
+    # with branch index -1 against the start's +1
     m = spaceform(1)
     base = builtin(m, "round_target", r_bar=0.8, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
@@ -476,13 +476,26 @@ def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16):
     wrong, rep_wrong = newton_solve(m, start, psi0.blend(psi, 1.0), 2, TIGHT)
     assert rep_wrong.converged
     assert rep_wrong.branch_index == -1
-    f_one, rep_one = continuity_solve(m, grid16, psi, 2, TIGHT)
     ten = SolverOptions(newton_tol=TIGHT.newton_tol, homotopy_steps=10)
+    # seeded by the tangent predictor, the full step stays on the start's
+    # branch: no stage is rejected
+    f_pred, rep_pred = continuity_solve(m, grid16, psi, 2, TIGHT)
+    f_pred_ten, _ = continuity_solve(m, grid16, psi, 2, ten)
+    assert rep_pred.homotopy_t == [0.0, 1.0]
+    assert rep_pred.branch_rejections == 0
+    assert np.abs(f_pred.values - f_pred_ten.values).max() < 1e-10
+    # a zero predictor seeds every first-stage attempt at the start itself:
+    # the full step lands on the second solution, so the continuation
+    # rejects that stage and reaches t = 1 through t = 0.5, where the
+    # 10-step run ends
+    monkeypatch.setattr(solver.PhiModes, "solve", lambda self, rhs: np.zeros_like(rhs))
+    f_one, rep_one = continuity_solve(m, grid16, psi, 2, TIGHT)
     f_ten, rep_ten = continuity_solve(m, grid16, psi, 2, ten)
     assert rep_one.homotopy_t == [0.0, 0.5, 1.0]
     assert type(rep_one.summary()["branch_rejections"]) is int
     assert rep_one.summary()["branch_rejections"] == 1
     assert np.abs(f_one.values - f_ten.values).max() < 1e-10
+    assert np.abs(f_pred.values - f_ten.values).max() < 1e-10
     assert np.abs(wrong.values - f_ten.values).max() > 0.1
     # with no room to halve the rejected step, the stall names both indices
     short = SolverOptions(newton_tol=TIGHT.newton_tol, min_homotopy_step=0.6)
@@ -565,6 +578,98 @@ def test_start_index_matches_dense_slogdet(nt, nphi, K, r_bar):
         assert indices[-1] == np.linalg.slogdet(jacobian(m, fieldv, radial, 2).toarray())[0]
     assert indices[0] == 1
     assert set(indices) == {-1, 1}
+
+
+TILTED_AXIS = (0.3, 0.4, 0.866)
+
+
+@pytest.mark.parametrize("nt", [16, 32])
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), TILTED_AXIS], ids=["e_z", "tilted"])
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
+def test_phi_modes_solve_matches_splu(K, r_bar, axis, nt):
+    # J0, the Jacobian at the start with psi0, commutes with phi-shifts for
+    # every target, a tilted axis included: its mode-by-mode solve of the
+    # predictor's system F(start; psi_t) agrees with SuperLU's
+    m = spaceform(K)
+    g = build_grid(nt, 2 * nt)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=axis)
+    start, psi0 = _start(m, g, psi)
+    J0 = jacobian(m, start, psi0, 2)
+    for t in (0.25, 1.0):
+        b = residual(m, start, psi0.blend(psi, t), 2).values
+        x = solver.PhiModes(J0, g).solve(b)
+        assert x.shape == g.shape
+        assert np.abs(J0 @ x.ravel() - b.ravel()).max() <= 1e-9 * np.abs(b).max()
+        ref = solver.splu(J0.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b.ravel())
+        assert np.abs(x.ravel() - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
+def test_tangent_predictor_saves_newton_steps_tilted(K, r_bar, grid16, monkeypatch):
+    # the tangent predictor seeds the first stage closer to its solution
+    # than the radial start does: fewer Newton steps and factorizations, and
+    # the same field as a zero predictor (the start itself as the seed)
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=TILTED_AXIS)
+    f_pred, rep_pred = continuity_solve(m, grid16, psi, 2, TIGHT)
+    monkeypatch.setattr(solver.PhiModes, "solve", lambda self, rhs: np.zeros_like(rhs))
+    f_zero, rep_zero = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert rep_pred.homotopy_t == rep_zero.homotopy_t == [0.0, 1.0]
+    assert rep_pred.iterations < rep_zero.iterations
+    assert rep_pred.factorizations < rep_zero.factorizations
+    assert np.abs(f_pred.values - f_zero.values).max() < 1e-10
+
+
+@pytest.mark.parametrize("step", ["leaves_domain", "leaves_cone"])
+def test_tangent_predictor_dropped_for_one_retry_from_the_start(step, grid16, monkeypatch):
+    # a predicted field outside (0, a), or one that is not admissible
+    # (ConeBreach at Newton's seed), is dropped for one retry of the same t
+    # from the start itself: the run is then the zero-predictor run
+    m = spaceform(0)
+    psi = _aniso_target(m)
+    monkeypatch.setattr(solver.PhiModes, "solve", lambda self, rhs: np.zeros_like(rhs))
+    f_zero, rep_zero = continuity_solve(m, grid16, psi, 2, TIGHT)
+    tt, pp = grid16.mesh()
+    bad = {"leaves_domain": np.full(grid16.shape, 10.0),
+           "leaves_cone": -0.9 * np.sin(tt) * np.cos(2.0 * pp)}[step]
+    monkeypatch.setattr(solver.PhiModes, "solve", lambda self, rhs: bad)
+    attempts = []
+    real_blend = Prescription.blend
+
+    def blend(self, other, t):
+        attempts.append(t)
+        return real_blend(self, other, t)
+
+    monkeypatch.setattr(Prescription, "blend", blend)
+    fieldv, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert attempts == [1.0, 1.0]
+    assert report.homotopy_t == rep_zero.homotopy_t == [0.0, 1.0]
+    assert report.residual_trace == rep_zero.residual_trace
+    assert report.factorizations == rep_zero.factorizations
+    assert np.array_equal(fieldv.values, f_zero.values)
+
+
+def test_round_sphere_config_builds_no_mode_blocks(monkeypatch):
+    # the start already meets newton_tol at t = 1: no predictor, no blocks,
+    # no Newton step
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "round_sphere.cfg")
+    built = []
+
+    class Counted(solver.PhiModes):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "PhiModes", Counted)
+    fieldv, report = continuity_solve(cfg.model, cfg.grid, cfg.psi, cfg.k, cfg.solver)
+    assert report.converged and report.homotopy_t == [0.0, 1.0]
+    assert report.iterations == 0
+    assert built == []
+    assert np.abs(fieldv.values - 1.0).max() < 1e-12
 
 
 def test_radial_start_scans_past_r_30():
@@ -774,7 +879,8 @@ def _manufactured(m, g, r_bar):
     grid is the discretization error.  The exponent 4 > k keeps radial
     monotonicity strict, so rho* is the only solution.  psi is indexed by
     node: the solver passes z as the (nt, nphi, 3) grid and its radial start
-    as the flattened node list, so it reads only rho's shape.
+    as the flattened node list, with rho on a leading axis of radii, so it
+    reads the node shape from z.
     """
     tt, pp = g.mesh()
     st, ct, c2, s2 = np.sin(tt), np.cos(tt), np.cos(2 * pp), np.sin(2 * pp)
@@ -790,7 +896,7 @@ def _manufactured(m, g, r_bar):
     warp_star = m.warp(partials[0])
 
     def eval_fn(z, rho, nu):
-        shape = np.shape(rho)
+        shape = np.shape(z)[:-1]
         return (sigma2.reshape(shape)
                 * (warp_star.reshape(shape) / m.warp(rho)) ** 4)
 

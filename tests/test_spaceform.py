@@ -5,7 +5,7 @@ import pytest
 
 from starcurv.geometry import assemble
 from starcurv.grid import build_grid, constant_field
-from starcurv.spaceform import DomainError, spaceform
+from starcurv.spaceform import DEFAULT_DOMAIN_CAP, DomainError, spaceform
 from starcurv.symfunc import sigma
 
 ALL_K = (-1, 0, 1)
@@ -82,6 +82,17 @@ def test_domain_rejection(K):
     m.check_domain(np.array([]))
     m.check_domain(np.zeros((0, 3)))
     m.check_domain(0.0, allow_zero=True)
+
+
+def test_spherical_model_takes_no_domain_cap():
+    # K = +1 ends at pi/2: a cap given for it is an error, never silently
+    # replaced by pi/2; None is the default for every K
+    for cap in (10.0, 1.0, math.pi / 2):
+        with pytest.raises(ValueError, match="domain_cap"):
+            spaceform(1, domain_cap=cap)
+    assert spaceform(1, domain_cap=None).a == math.pi / 2
+    assert spaceform(0, domain_cap=None).a == DEFAULT_DOMAIN_CAP
+    assert spaceform(-1).a == DEFAULT_DOMAIN_CAP
 
 
 def test_bad_construction():
