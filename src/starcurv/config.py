@@ -55,9 +55,6 @@ _PSI_KEYS = {"psi.family", *(f"psi.{name}" for names in (*_FAMILY_KEYS.values(),
 # solver.* key -> (SolverOptions field, parser)
 SOLVER_KEYS = {
     "solver.newton_tol": ("newton_tol", float),
-    "solver.max_newton_iters": ("max_newton_iters", int),
-    "solver.homotopy_steps": ("homotopy_steps", int),
-    "solver.min_homotopy_step": ("min_homotopy_step", float),
 }
 _BARRIER_KEYS = {"barriers.R1", "barriers.R2"}
 _CHECK_KEYS = {"check.barriers", "check.monotonicity", "check.rho_lo", "check.rho_hi"}

@@ -77,26 +77,25 @@ class ConeBreach(NoConvergence):
 
 @dataclass
 class SolverOptions:
-    """Newton and continuation settings; the first continuation step is
-    1/homotopy_steps.  The line search's are the constants below."""
+    """The one solver setting a run chooses: Newton stops once the residual
+    sup norm is at most newton_tol.  The budgets, the continuation's steps
+    and the line search's settings are the constants below."""
 
     newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    homotopy_steps: int = 1
-    min_homotopy_step: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol < 1.0:
             raise ValueError("newton_tol must be in (0, 1)")
-        for name in ("max_newton_iters", "homotopy_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.min_homotopy_step > 0.0:     # NaN fails too
-            raise ValueError("min_homotopy_step must be positive")
 
 
-# The line search halves the step (DAMPING) up to MAX_BACKTRACKS times, and
-# accepts a candidate only when its cone margin is at least CONE_MARGIN.
+# Newton takes at most MAX_NEWTON_ITERS steps per solve.  The continuation's
+# first step is FIRST_STEP (the whole path), and it stalls once a halved step
+# falls below MIN_HOMOTOPY_STEP.  The line search halves the step (DAMPING) up
+# to MAX_BACKTRACKS times, and accepts a candidate only when its cone margin
+# is at least CONE_MARGIN.
+MAX_NEWTON_ITERS = 50
+FIRST_STEP = 1.0
+MIN_HOMOTOPY_STEP = 1e-4
 DAMPING = 0.5
 MAX_BACKTRACKS = 30
 CONE_MARGIN = 1e-10
@@ -343,27 +342,10 @@ class Factor:
     stops contracting.
     """
 
-    __slots__ = ("_lu", "_sign")
+    __slots__ = ("lu",)
 
     def __init__(self):
         self.lu = None
-
-    @property
-    def lu(self):
-        return self._lu
-
-    @lu.setter
-    def lu(self, lu):
-        self._lu, self._sign = lu, None     # the sign belongs to one LU
-
-    def det_sign(self) -> int:
-        """sign det of the matrix lu factors, computed once per LU.
-
-        Refinement against an LU A of an earlier J contracts only when
-        |I - A^-1 J| < 1, and then det A and det J have the same sign."""
-        if self._sign is None:
-            self._sign = _lu_det_sign(self._lu)
-        return self._sign
 
 
 def _perm_parity(perm: np.ndarray) -> int:
@@ -450,7 +432,7 @@ def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = 
 
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  k: int, opts: Optional[SolverOptions] = None,
-                 report: Optional[SolveReport] = None, factor: Optional[Factor] = None):
+                 factor: Optional[Factor] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
     With a factor, each Newton system is solved against the LU it holds
@@ -460,13 +442,15 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     inside the radial domain, keeps the curvatures inside the cone with
     margin >= CONE_MARGIN, and strictly decreases the residual sup norm.
     Raises ConeBreach when no step length is even admissible and
-    NoConvergence when budgets run out; both carry the partial report.
-    When a step was damped, the converged report's branch_index is sign
-    det J from the LU that served the last step: a fresh one, or a held
-    one against which refinement contracted.
+    NoConvergence when MAX_NEWTON_ITERS steps do not reach newton_tol; both
+    carry the report of this solve.  When a step was damped, the converged
+    report's branch_index is sign det J from the LU that served the last
+    step: a fresh one, or a held LU A of an earlier J against which
+    refinement contracted, which needs |I - A^-1 J| < 1, so det A and det J
+    have the same sign.
     """
     opts = opts or SolverOptions()
-    report = report if report is not None else SolveReport()
+    report = SolveReport()
     held = factor if factor is not None else Factor()
     damped = False
     fieldv = rho0
@@ -478,7 +462,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             f"seed is not admissible: cone margin {margin!r} < {CONE_MARGIN!r}",
             field=fieldv, report=report)
 
-    for _ in range(opts.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= opts.newton_tol:
             break
         J = jacobian(model, fieldv, psi, k, state)
@@ -525,7 +509,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     report.converged = True
     report.message = "converged"
     if damped:
-        report.branch_index = held.det_sign()
+        report.branch_index = _lu_det_sign(held.lu)
     return fieldv, report
 
 
@@ -562,7 +546,10 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
 
 # The radial start's scan evaluates psi at a chunk of radii per call, at
 # most RADIAL_CHUNK values (1 MB of float64) over those radii and all nodes.
+# It goes no lower than RADIAL_FLOOR: below it, psi of a k = 2 sphere
+# exceeds 1e16, and its float64 roundoff exceeds any newton_tol < 1.
 RADIAL_CHUNK = 2**17
+RADIAL_FLOOR = 1e-8
 
 
 def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
@@ -572,36 +559,50 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
 
     The root is bracketed by the first sign change (or zero) of that gap
     over a geometric scan of radii, evaluated a chunk of radii per psi call
-    on a broadcast radii axis, and refined by _illinois.  Raises
+    on a broadcast radii axis, and refined by _illinois.  The scan runs up
+    from 1e-3 to the top of the domain, then, only when that finds no sign
+    change, down from 1e-3 to RADIAL_FLOOR at the same ratio.  Raises
     NoConvergence, with no field and a report of only its message, when
-    the scan finds no root."""
+    neither finds a root."""
     z, _, _ = grid.unit_vectors()
     z = z.reshape(-1, 3)
+    chunk = max(1, RADIAL_CHUNK // len(z))
 
     def gap(r):
         r = np.asarray(r, dtype=float)[..., None]   # one radius, or a chunk of them
         vals = np.broadcast_to(psi(z, r, z), r.shape[:-1] + (len(z),))
         return model.sphere_sigma(r[..., 0], k) - np.mean(vals, axis=-1)
 
+    def scan(rs):
+        gaps = np.empty(0)
+        for lo in range(0, len(rs), chunk):
+            gaps = np.concatenate([gaps, gap(rs[lo:lo + chunk])])
+            g0, g1 = gaps[:-1], gaps[1:]
+            hits = np.flatnonzero((g0 == 0.0) | (g0 * g1 < 0.0))
+            if hits.size:
+                i = hits[0]
+                if g0[i] == 0.0:
+                    return float(rs[i])
+                return float(_illinois(gap, float(rs[i]), float(rs[i + 1]), g0[i], g1[i]))
+        return None
+
     top = model.a - 1e-6 if model.K == 1 else model.a * 0.98
     rs = np.geomspace(1e-3, min(top, 30.0), 240)
+    step = math.log(rs[1] / rs[0])
     if top > 30.0:
-        # (30, top) at the same ratio, reached only when (1e-3, 30] has no sign change
-        n = math.ceil(math.log(top / 30.0) / math.log(rs[1] / rs[0]))
+        # (30, top] at the same ratio, reached only when [1e-3, 30] has no sign change
+        n = math.ceil(math.log(top / 30.0) / step)
         rs = np.concatenate([rs, np.geomspace(30.0, top, n + 1)[1:]])
-    chunk = max(1, RADIAL_CHUNK // len(z))
-    gaps = np.empty(0)
-    for lo in range(0, len(rs), chunk):
-        gaps = np.concatenate([gaps, gap(rs[lo:lo + chunk])])
-        g0, g1 = gaps[:-1], gaps[1:]
-        hits = np.flatnonzero((g0 == 0.0) | (g0 * g1 < 0.0))
-        if hits.size:
-            i = hits[0]
-            if g0[i] == 0.0:
-                return float(rs[i])
-            return float(_illinois(gap, float(rs[i]), float(rs[i + 1]), g0[i], g1[i]))
-    msg = ("no radial start radius: the radial problem "
-           "C(2,k) q(r)^k = mean(psi) has no root in the domain")
+    # down from 1e-3 to RADIAL_FLOOR at the same ratio, reached only when
+    # [1e-3, top] has no sign change
+    n = math.ceil(math.log(1e-3 / RADIAL_FLOOR) / step)
+    below = np.geomspace(1e-3, RADIAL_FLOOR, n + 1)
+    for radii in (rs, below):
+        r0 = scan(radii)
+        if r0 is not None:
+            return r0
+    msg = ("no radial start radius: the radial problem C(2,k) q(r)^k = mean(psi) "
+           f"has no root in the scanned radii [{RADIAL_FLOOR!r}, {top!r}]")
     raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
@@ -657,14 +658,6 @@ class PhiModes:
         return int(np.prod(signs)) if np.all(np.isfinite(signs)) else 0
 
 
-def _start_index(model: SpaceFormModel, fieldv: ScalarField, psi0: Prescription,
-                 k: int) -> int:
-    """sign det J at a field constant in phi with a radial psi0, the t = 0
-    solution being one: the start's branch index that continuity_solve
-    reads from its PhiModes of J0, here from a Jacobian of its own."""
-    return PhiModes(jacobian(model, fieldv, psi0, k), fieldv.grid).det_sign()
-
-
 def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescription,
                      k: int, opts: Optional[SolverOptions] = None):
     """Homotopy continuation from an exactly solvable radial prescription.
@@ -685,18 +678,18 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     stages start Newton from the last accepted solution.  Newton corrects;
     the report's iterations count its steps only, not the predictor.
 
-    The first step is 1/homotopy_steps (by default the whole path); a
-    failed step is halved from the t it tried, and an accepted one doubles
-    the next, without a cap.  A step fails when its Newton solve fails, or
-    when that solve damped a step and the branch index at its solution
-    (Newton's report) differs from the start's (PhiModes.det_sign of
-    J0).  Damping can lead a start
-    outside the region where undamped Newton contracts to another solution
-    of the same equation, and in K = +1 it does; the two solutions that
-    meet at a fold have opposite indices.  The test is necessary, not
+    The first step is FIRST_STEP, the whole path; a failed step is halved
+    from the t it tried, and an accepted one doubles the next, without a
+    cap.  A step fails when its Newton solve fails, or when that solve
+    damped a step and the branch index at its solution (Newton's report)
+    differs from the start's (PhiModes.det_sign of J0).  Damping can lead a
+    start outside the region where undamped Newton contracts to another
+    solution of the same equation, and in K = +1 it does; the two solutions
+    that meet at a fold have opposite indices.  The test is necessary, not
     sufficient: a second solution of the start's index passes it.  A step
-    that would end within min_homotopy_step of t = 1 goes to 1.  Every
-    Newton solve of the continuation shares one Factor.
+    that would end within MIN_HOMOTOPY_STEP of t = 1 goes to 1, and the run
+    stalls once a halved step falls below it.  Every Newton solve of the
+    continuation shares one Factor.
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
@@ -706,7 +699,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     factor = Factor()
 
     t = 0.0
-    dt = 1.0 / opts.homotopy_steps
+    dt = FIRST_STEP
     try:
         fieldv, sub = newton_solve(model, fieldv, psi0, k, opts, factor=factor)
     except NoConvergence as exc:
@@ -723,7 +716,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     plain = False          # the next attempt starts Newton at the start itself
     while t < 1.0:
         t_next = min(t + dt, 1.0)
-        if 1.0 - t_next < opts.min_homotopy_step:
+        if 1.0 - t_next < MIN_HOMOTOPY_STEP:
             t_next = 1.0
         psi_t = psi0.blend(psi_target, t_next)
         seed = fieldv
@@ -756,7 +749,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
                            f"t = {t_next!r}, the start's is {modes.det_sign():+d}")
         if failure is not None:
             dt = 0.5 * (t_next - t)
-            if dt < opts.min_homotopy_step:
+            if dt < MIN_HOMOTOPY_STEP:
                 report.message = f"homotopy stalled at t = {t!r}: {failure}"
                 raise NoConvergence(report.message, field=fieldv, report=report) from None
             continue

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from starcurv import solver
 from starcurv.cli import main
 from starcurv.config import KNOWN_KEYS, SOLVER_KEYS, ConfigError, parse_config
 from starcurv.export import (NODE_TABLE_HEADER, field_from_node_table, read_node_table,
@@ -322,6 +323,10 @@ REMOVED_KEY_LINES = {
     "damping": "solver.damping = 0.25",
     "max_backtracks": "solver.max_backtracks = 10",
     "cone_margin": "solver.cone_margin = nan",
+    # so are the Newton budget and the continuation's first and least steps
+    "max_newton_iters": "solver.max_newton_iters = 1",
+    "homotopy_steps": "solver.homotopy_steps = 10",
+    "min_homotopy_step": "solver.min_homotopy_step = 0.01",
     # check samples MONOTONE_SAMPLES radii against MONOTONE_TOL
     "check_samples": "check.samples = 0",
     "check_tol": "check.tol = nan",
@@ -386,6 +391,20 @@ def test_solver_keys_map_one_to_one_onto_solver_options(tmp_path):
         assert getattr(parse_config(cfg).solver, attr) == value, key
 
 
+def test_every_solver_key_is_set_by_a_run(monkeypatch):
+    # a solver setting that only tests change is a constant, not a key:
+    # each solver.* key must be set by a committed config or by the
+    # benchmark's config text
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    texts = [path.read_text() for path in sorted((ROOT / "configs").glob("*.cfg"))]
+    texts.append(workloads.aniso_config(0, 16, 1.0, workloads.HEADLINE_EPSILON))
+    set_keys = {line.split("#", 1)[0].split("=", 1)[0].strip()
+                for text in texts for line in text.splitlines() if "=" in line}
+    assert set(SOLVER_KEYS) <= set_keys, sorted(set(SOLVER_KEYS) - set_keys)
+
+
 # A valid value for every key outside psi.* (the psi.* keys have their own
 # test above), and a second valid value for the same key.
 KEY_VALUES = {
@@ -395,9 +414,6 @@ KEY_VALUES = {
     "grid.n_phi": ("32", "16"),
     "problem.k": ("2", "1"),
     "solver.newton_tol": ("1e-11", "1e-10"),
-    "solver.max_newton_iters": ("50", "51"),
-    "solver.homotopy_steps": ("1", "2"),
-    "solver.min_homotopy_step": ("1e-4", "5e-5"),
     "barriers.R1": ("0.5", "0.6"),
     "barriers.R2": ("2.0", "2.5"),
     "check.barriers": ("true", "false"),
@@ -449,6 +465,8 @@ def test_solve_without_radial_start_writes_report(tmp_path):
     assert float(report["homotopy_t_final"]) == 0.0
     assert "no radial start radius" in report["message"]
     assert "C(2,k)" in report["message"]
+    # it names the radii it scanned: down to 1e-8, up to 0.98 a
+    assert "[1e-08, 49.0]" in report["message"]
     for key in ("residual_inf", "rho_min", "rho_max", "grad_inf", "kappa_max", "u_min",
                 "cone_margin"):
         assert key not in report
@@ -538,11 +556,13 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert proc.stdout.strip() == "[]"
 
 
-def test_solve_exit_3_writes_last_good_state(tmp_path):
-    # from the tangent predictor one Newton iteration reaches t = 1/64, the
-    # sixth halving of the full step; past that first stage one iteration
-    # is never enough, so the continuation stalls there and reports it
-    # honestly
+def test_solve_exit_3_writes_last_good_state(tmp_path, monkeypatch, capsys):
+    # with a budget of one Newton step, from the tangent predictor one
+    # iteration reaches t = 1/64, the sixth halving of the full step; past
+    # that first stage one iteration is never enough, so the continuation
+    # stalls there, below a least step of 0.01, and reports it honestly
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.01)
     body = """
 model.K = 0
 grid.n_theta = 16
@@ -554,12 +574,10 @@ psi.r_bar = 1.0
 psi.m = 4.0
 psi.epsilon = 0.2
 psi.axis_z = 1.0
-solver.max_newton_iters = 1
-solver.min_homotopy_step = 0.01
 """
     cfg = write_cfg(tmp_path / "stall.cfg", body)
-    proc = run_cli(["solve", str(cfg)], tmp_path)
-    assert proc.returncode == 3
+    assert main(["solve", str(cfg)]) == 3
+    assert "homotopy stalled" in capsys.readouterr().err
     report = read_report(tmp_path / "report.txt")
     assert report["converged"] == "false"
     assert float(report["homotopy_t_final"]) == 0.015625

@@ -176,12 +176,12 @@ def test_newton_rejects_inadmissible_seed(grid16):
         newton_solve(m, f, psi, 2, TIGHT)
 
 
-def test_newton_budget_exhaustion_returns_report(grid16):
+def test_newton_budget_exhaustion_returns_report(grid16, monkeypatch):
     m = spaceform(0)
     psi = builtin(m, "constant", c=1.0)
-    opts = SolverOptions(newton_tol=1e-11, max_newton_iters=1)
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(NoConvergence) as info:
-        newton_solve(m, constant_field(grid16, 1.9), psi, 2, opts)
+        newton_solve(m, constant_field(grid16, 1.9), psi, 2, TIGHT)
     assert info.value.report is not None
     assert info.value.field is not None
     assert not info.value.report.converged
@@ -284,15 +284,15 @@ def test_uniqueness_probe_constructed(grid16):
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_newton_iters=0)
-    # NaN compares False both ways, so it must not pass as positive
-    with pytest.raises(ValueError, match="min_homotopy_step"):
-        SolverOptions(min_homotopy_step=math.nan)
+    # NaN compares False both ways, so it must not pass as in range
+    with pytest.raises(ValueError, match="newton_tol"):
+        SolverOptions(newton_tol=math.nan)
     # the Jacobian has no finite-difference step left to set, the residual
-    # has one form only, and the line search's settings are constants
+    # has one form only, and the line search's settings, the Newton budget
+    # and the continuation's steps are constants
     for removed in ("fd_step", "use_normalized", "damping", "max_backtracks",
-                    "cone_margin"):
+                    "cone_margin", "max_newton_iters", "homotopy_steps",
+                    "min_homotopy_step"):
         with pytest.raises(TypeError):
             SolverOptions(**{removed: 1e-6})
 
@@ -322,7 +322,7 @@ def test_jacobian_polar_rows_smooth_direction(nt, nphi):
         assert np.abs(jv[row] - ref[row]).max() / np.abs(ref[row]).max() < 1e-4
 
 
-def test_jacobian_and_continuation_repeat_runs_bitwise(grid16):
+def test_jacobian_and_continuation_repeat_runs_bitwise(grid16, monkeypatch):
     m = spaceform(0)
     f = field_from_function(grid16, lambda tt, pp: 1.0 + 0.05 * np.cos(tt))
     psi = builtin(m, "constant", c=1.0)
@@ -332,8 +332,9 @@ def test_jacobian_and_continuation_repeat_runs_bitwise(grid16):
     assert np.array_equal(J1.data, J2.data)
     base = builtin(m, "round_target", r_bar=1.0, m=4.0)
     target = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
-    for opts in (TIGHT, SolverOptions(newton_tol=1e-11, homotopy_steps=2)):
-        (f1, rep1), (f2, rep2) = (continuity_solve(m, grid16, target, 2, opts)
+    for first_step in (1.0, 0.5):
+        monkeypatch.setattr(solver, "FIRST_STEP", first_step)
+        (f1, rep1), (f2, rep2) = (continuity_solve(m, grid16, target, 2, TIGHT)
                                   for _ in range(2))
         assert np.array_equal(f1.values, f2.values)
         assert rep1.residual_trace == rep2.residual_trace
@@ -410,19 +411,19 @@ def _aniso_target(m):
     return builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
 
 
-def test_continuity_default_steps_end_exactly_at_one(grid16):
-    # homotopy_steps = 10 sets the first step only: each accepted step
-    # doubles the next, with no cap at 1/homotopy_steps, and the last one
-    # is cut to end exactly at 1
+def test_continuity_default_steps_end_exactly_at_one(grid16, monkeypatch):
+    # FIRST_STEP = 0.1 sets the first step only: each accepted step
+    # doubles the next, with no cap at FIRST_STEP, and the last one is cut
+    # to end exactly at 1
     m = spaceform(0)
-    opts = SolverOptions(newton_tol=1e-11, homotopy_steps=10)
-    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, opts)
+    monkeypatch.setattr(solver, "FIRST_STEP", 0.1)
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
     assert report.homotopy_t == pytest.approx([0.0, 0.1, 0.3, 0.7, 1.0], abs=1e-15)
     assert report.homotopy_t[-1] == 1.0
-    # 0.3 + 0.4 ends 0.3 short of 1, within min_homotopy_step: that step
+    # 0.3 + 0.4 ends 0.3 short of 1, within MIN_HOMOTOPY_STEP: that step
     # snaps to 1 instead of leaving a last stage from 0.7
-    opts = SolverOptions(newton_tol=1e-11, homotopy_steps=10, min_homotopy_step=0.35)
-    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, opts)
+    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.35)
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
     assert report.homotopy_t == pytest.approx([0.0, 0.1, 0.3, 1.0], abs=1e-15)
     assert report.homotopy_t[-1] == 1.0
 
@@ -443,7 +444,7 @@ def test_continuity_hard_targets_take_the_full_step(K, r_bar, grid16):
 @pytest.mark.parametrize("K,r_bar,epsilon", [(-1, 1.0, 0.2), (0, 1.0, 0.2), (1, 0.8, 0.2),
                                              (0, 1.0, 0.9), (1, 0.8, 0.24), (1, 0.8, 0.25),
                                              (-1, 1.0, 0.8)])
-def test_continuity_full_step_matches_ten_steps(K, r_bar, epsilon, grid16):
+def test_continuity_full_step_matches_ten_steps(K, r_bar, epsilon, grid16, monkeypatch):
     # K = +1, r_bar = 0.8, epsilon >= 0.23 has a second solution, and a
     # damped Newton solve from the radial start straight at t = 1 ends on
     # it (rho in [0.78, 0.92] instead of [0.67, 0.78])
@@ -451,8 +452,8 @@ def test_continuity_full_step_matches_ten_steps(K, r_bar, epsilon, grid16):
     base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=epsilon, axis=(0.0, 0.0, 1.0))
     f_one, rep_one = continuity_solve(m, grid16, psi, 2, TIGHT)
-    ten = SolverOptions(newton_tol=TIGHT.newton_tol, homotopy_steps=10)
-    f_ten, rep_ten = continuity_solve(m, grid16, psi, 2, ten)
+    monkeypatch.setattr(solver, "FIRST_STEP", 0.1)
+    f_ten, rep_ten = continuity_solve(m, grid16, psi, 2, TIGHT)
     assert rep_one.converged and rep_ten.converged
     assert np.abs(f_one.values - f_ten.values).max() < 1e-10
 
@@ -476,11 +477,16 @@ def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16, monkeypa
     wrong, rep_wrong = newton_solve(m, start, psi0.blend(psi, 1.0), 2, TIGHT)
     assert rep_wrong.converged
     assert rep_wrong.branch_index == -1
-    ten = SolverOptions(newton_tol=TIGHT.newton_tol, homotopy_steps=10)
+
+    def ten_steps():
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "FIRST_STEP", 0.1)
+            return continuity_solve(m, grid16, psi, 2, TIGHT)
+
     # seeded by the tangent predictor, the full step stays on the start's
     # branch: no stage is rejected
     f_pred, rep_pred = continuity_solve(m, grid16, psi, 2, TIGHT)
-    f_pred_ten, _ = continuity_solve(m, grid16, psi, 2, ten)
+    f_pred_ten, _ = ten_steps()
     assert rep_pred.homotopy_t == [0.0, 1.0]
     assert rep_pred.branch_rejections == 0
     assert np.abs(f_pred.values - f_pred_ten.values).max() < 1e-10
@@ -490,7 +496,7 @@ def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16, monkeypa
     # 10-step run ends
     monkeypatch.setattr(solver.PhiModes, "solve", lambda self, rhs: np.zeros_like(rhs))
     f_one, rep_one = continuity_solve(m, grid16, psi, 2, TIGHT)
-    f_ten, rep_ten = continuity_solve(m, grid16, psi, 2, ten)
+    f_ten, rep_ten = ten_steps()
     assert rep_one.homotopy_t == [0.0, 0.5, 1.0]
     assert type(rep_one.summary()["branch_rejections"]) is int
     assert rep_one.summary()["branch_rejections"] == 1
@@ -498,9 +504,9 @@ def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16, monkeypa
     assert np.abs(f_pred.values - f_ten.values).max() < 1e-10
     assert np.abs(wrong.values - f_ten.values).max() > 0.1
     # with no room to halve the rejected step, the stall names both indices
-    short = SolverOptions(newton_tol=TIGHT.newton_tol, min_homotopy_step=0.6)
+    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.6)
     with pytest.raises(NoConvergence) as info:
-        continuity_solve(m, grid16, psi, 2, short)
+        continuity_solve(m, grid16, psi, 2, TIGHT)
     assert "homotopy stalled at t = 0.0" in str(info.value)
     assert "branch index -1" in str(info.value) and "the start's is +1" in str(info.value)
     assert info.value.report.branch_rejections == 1
@@ -557,13 +563,15 @@ def test_perm_parity_matches_transposition_count():
             assert solver._perm_parity(perm) == (-1) ** swaps
 
 
-@pytest.mark.parametrize("nt,nphi", [(9, 10), (16, 32)])
+@pytest.mark.parametrize("nt,nphi", [(9, 10), (16, 32), (64, 128)])
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
 def test_start_index_matches_dense_slogdet(nt, nphi, K, r_bar):
     # J at a constant field with a radial psi commutes with phi-shifts, and
     # the product of the signs of its two real Fourier blocks' determinants
-    # is sign det J: at the continuation's start, and at the sphere r_bar
-    # solving c warp^-m, whose index changes sign as m runs from 4 to -12
+    # (PhiModes.det_sign) is sign det J: at the continuation's start, and at
+    # the sphere r_bar solving c warp^-m, whose index changes sign as m runs
+    # from 4 to -12.  At 64x128 a dense J would take 0.5 GB, so the
+    # reference there is the sign of SuperLU's factors
     m = spaceform(K)
     g = build_grid(nt, nphi)
     base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
@@ -574,8 +582,13 @@ def test_start_index_matches_dense_slogdet(nt, nphi, K, r_bar):
         cases.append((constant_field(g, r_bar), builtin(m, "radial_power", c=c, m=power)))
     indices = []
     for fieldv, radial in cases:
-        indices.append(solver._start_index(m, fieldv, radial, 2))
-        assert indices[-1] == np.linalg.slogdet(jacobian(m, fieldv, radial, 2).toarray())[0]
+        J = jacobian(m, fieldv, radial, 2)
+        indices.append(solver.PhiModes(J, g).det_sign())
+        if g.n_nodes > 1024:
+            ref = solver._lu_det_sign(solver.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A"))
+        else:
+            ref = np.linalg.slogdet(J.toarray())[0]
+        assert indices[-1] == ref
     assert indices[0] == 1
     assert set(indices) == {-1, 1}
 
@@ -682,6 +695,23 @@ def test_radial_start_scans_past_r_30():
     assert np.abs(fieldv.values - 35.0).max() < 1e-8
 
 
+@pytest.mark.parametrize("K", [-1, 0, 1])
+def test_radial_start_scans_below_r_1e_3(K):
+    # psi = 2e6: C(2,2) q(r)^2 = 2e6 has its root near r = 1/sqrt(2e6),
+    # about 7.07e-4, below the scan's start at 1e-3; the scan goes on down
+    # and the start solves the round problem in one Newton step.  The
+    # sphere's psi of 2e6 leaves a roundoff floor far above 1e-11 there
+    m = spaceform(K)
+    g = build_grid(16, 32)
+    psi = builtin(m, "constant", c=2e6)
+    fieldv, report = continuity_solve(m, g, psi, 2, SolverOptions(newton_tol=1e-6))
+    assert report.converged and report.iterations <= 1
+    r_star = solver._radial_start(m, g, psi, 2)
+    assert m.sphere_sigma(r_star, 2) == pytest.approx(2e6, rel=1e-10)
+    assert 7e-4 < r_star < 7.1e-4
+    assert np.abs(fieldv.values - r_star).max() < 1e-12
+
+
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8), (1, 1.45)])
 def test_radial_start_matches_brentq(K, r_bar, grid16, monkeypatch):
     # the Illinois iteration finds brentq's root on the bracket of the scan
@@ -714,10 +744,10 @@ def test_continuity_failed_stage_is_not_repeated(grid16, monkeypatch):
         attempts.append(t)
         return real_blend(self, other, t)
 
-    def newton(model, rho0, psi, k, opts=None, report=None, **kw):
+    def newton(model, rho0, psi, k, opts=None, **kw):
         if psi.params.get("t") == 1.0 and attempts.count(1.0) == 1:
             raise NoConvergence("injected failure at t = 1")
-        return real_newton(model, rho0, psi, k, opts, report, **kw)
+        return real_newton(model, rho0, psi, k, opts, **kw)
 
     monkeypatch.setattr(Prescription, "blend", blend)
     monkeypatch.setattr(solver, "newton_solve", newton)
@@ -847,8 +877,8 @@ def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16, mon
     f_reuse, rep_reuse = continuity_solve(m, grid16, psi, 2, TIGHT)
     real_newton = solver.newton_solve
 
-    def fresh(model, rho0, psi, k, opts=None, report=None, factor=None, **kw):
-        return real_newton(model, rho0, psi, k, opts, report, **kw)
+    def fresh(model, rho0, psi, k, opts=None, factor=None):
+        return real_newton(model, rho0, psi, k, opts)
 
     monkeypatch.setattr(solver, "newton_solve", fresh)
     f_fresh, rep_fresh = continuity_solve(m, grid16, psi, 2, TIGHT)
