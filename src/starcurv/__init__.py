@@ -15,8 +15,7 @@ from .solver import (ConeBreach, NoConvergence, SolveReport, SolverOptions,
                      continuity_solve, jacobian, newton_solve, residual,
                      uniqueness_probe)
 from .spaceform import DomainError, SpaceFormModel, spaceform
-from .symfunc import (cone_margin, in_gamma_cone, normalized_sigma2_root,
-                      sigma, sigma_all, sigma_partial)
+from .symfunc import cone_margin, in_gamma_cone, sigma, sigma_all, sigma_partial
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,6 @@ __all__ = [
     "continuity_solve", "jacobian", "newton_solve", "residual",
     "uniqueness_probe",
     "DomainError", "SpaceFormModel", "spaceform",
-    "cone_margin", "in_gamma_cone", "normalized_sigma2_root", "sigma",
-    "sigma_all", "sigma_partial",
+    "cone_margin", "in_gamma_cone", "sigma", "sigma_all", "sigma_partial",
     "__version__",
 ]

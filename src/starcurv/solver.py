@@ -9,29 +9,33 @@ six raw jet components c, with D_c the grid's fixed stencil matrices
 (cross-pole ghosting folded in).  dF/dc is closed form for sigma_k, the
 linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
 through the jet's entries of g and h, and the prescription's own partials
-in rho and nu for the three components they read.  That pattern is
-structurally symmetric, so J is factored with the minimum-degree ordering
-of J^T + J (SuperLU's MMD_AT_PLUS_A), which fills in about half as much
-as the default COLAMD.  A continuation keeps one LU alive across all its
-Newton steps and stages: the curvatures stay bounded along the homotopy,
-so J drifts little, and each Newton system is solved by iterative
-refinement against the LU of an earlier J.  J is factored again as soon
-as the refinement's observed contraction cannot reach its tolerance
-within its sweep budget.  The continuation tries the whole path
-t = 0 -> 1 in one step first, halves a step that fails and doubles the
-next one after a step that succeeds.  It is an Euler-Newton
-predictor-corrector: each attempt of the first stage after t = 0 seeds
-Newton with the tangent predictor start - J0^-1 F(start; psi_t).  J0, the
-Jacobian at the radial start, commutes with phi-shifts for every target,
-so PhiModes solves it one phi-Fourier mode at a time, a tridiagonal
-system in theta each, with no LU.  The predictor is skipped when the
-start already meets newton_tol at t, and dropped for one retry from the
-start when its field leaves (0, a) or is not admissible; later stages
-start from the last solution.  A report's iterations count Newton
-corrector steps only.  A stage whose Newton solve damped a
-step must also keep the branch index, the sign of det J, of the radial
-start: that sign is the local Leray-Schauder index of an isolated
-solution, and the two solutions that meet at a fold have opposite signs.
+in rho and nu for the three components they read.  A continuation keeps
+one held factor across all its Newton steps and stages, and solves each
+Newton system by iterative refinement against it: the curvatures stay
+bounded along the homotopy, so J drifts little.  The held factor is a
+PhiModes of J averaged over phi (T. Chan's optimal circulant
+approximation, applied per theta-block), one real FFT in phi and one
+tridiagonal Thomas sweep in theta per mode, with no LU.  When refinement
+against it stops contracting, the modes are rebuilt once from the current
+J, and only if that also fails is J factored by SuperLU with the
+minimum-degree ordering of J^T + J (MMD_AT_PLUS_A); the LU is then held
+in their place.  scipy.sparse.linalg is imported only for that fallback.
+Refinement stops at Oettli and Prager's componentwise backward error
+floor when REFINE_TOL |b| asks for more than float64 can deliver.  The
+continuation tries the whole path t = 0 -> 1 in one step first, halves a
+step that fails and doubles the next one after a step that succeeds.  It
+is an Euler-Newton predictor-corrector: each attempt of the first stage
+after t = 0 seeds Newton with the tangent predictor start - J0^-1
+F(start; psi_t).  J0, the Jacobian at the radial start, commutes with
+phi-shifts for every target, so its PhiModes solves it exactly.  The
+predictor is skipped when the start already meets newton_tol at t, and
+dropped for one retry from the start when its field leaves (0, a) or is
+not admissible; later stages start from the last solution.  A report's
+iterations count Newton corrector steps only.  A stage whose Newton
+solve damped a step must also keep the branch index, the sign of det J,
+of the radial start: that sign is the local Leray-Schauder index of an
+isolated solution, and the two solutions that meet at a fold have
+opposite signs.
 The test is necessary, not sufficient: two solutions of equal index can
 coexist, and it cannot tell them apart.  Every accepted Newton iterate
 must stay strictly inside the radial domain and keep the principal
@@ -52,7 +56,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .geometry import GeometryError, GeometryState, assemble
 from .grid import ScalarField, SphereGrid, constant_field, jet_stencils
@@ -116,12 +119,15 @@ class SolveReport:
     counts as iterate zero, and is recorded even when it is not
     admissible).  homotopy_t has one entry per accepted continuation
     stage; homotopy_t_final is the last of them, 0 before the first.
-    factorizations counts the sparse LU factorizations and refine_sweeps
-    the refinement sweeps against a reused LU; like iterations, both
-    cover the accepted stages only.  branch_rejections counts the stages
-    rejected because the branch index at their solution differed from
-    the start's.  branch_index is sign det J at the solution of a Newton
-    solve that damped a step, 0 when it damped none.
+    factorizations counts the sparse LUs, which a continuation builds only
+    when refinement against phi-averaged modes fails (see _linear_solve),
+    and refine_sweeps the refinement sweeps against held or rebuilt modes
+    or a held LU; like iterations, both cover the accepted stages only.
+    branch_rejections counts the stages rejected because the branch index
+    at their solution differed from the start's.  branch_index is sign
+    det J at the solution of a Newton solve that damped a step, 0 when it
+    damped none.  state is the geometry of the field a Newton solve
+    returned, None on a continuation's report.
     """
 
     converged: bool = False
@@ -139,6 +145,7 @@ class SolveReport:
     kappa_max: list = field(default_factory=list)
     u_min: list = field(default_factory=list)
     cone_margin: list = field(default_factory=list)
+    state: Optional[GeometryState] = field(default=None, repr=False, compare=False)
 
     @property
     def residual_inf(self) -> float:
@@ -325,27 +332,38 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
                          shape=(g.n_nodes, g.n_nodes), copy=True)
 
 
-# Refinement against a reused LU stops once |b - Jx|_inf <= REFINE_TOL |b|_inf.
-# It gives up, and J is factored afresh, as soon as the observed contraction
-# cannot get there within REFINE_MAX_SWEEPS sweeps (see _refine).  A
-# tolerance near 1e-10 would sit on the direct solve's own floor and
-# refactor on almost every step.
+# Refinement stops once |b - Jx|_inf <= max(REFINE_TOL |b|_inf, REFINE_FLOOR
+# max(|J| |x|)), the second term Oettli and Prager's componentwise backward
+# error at 16 ulps (Numer. Math. 6, 1964): past it, a smaller residual is
+# roundoff, not accuracy.  It gives up as soon as the observed contraction
+# cannot get there within REFINE_MAX_SWEEPS sweeps (see _refine).
 REFINE_TOL = 1e-8
+REFINE_FLOOR = 16.0 * np.finfo(float).eps
 REFINE_MAX_SWEEPS = 12
 
 
-class Factor:
-    """Holder of the one sparse LU a continuation keeps alive.
+def splu(A, **options):
+    """scipy.sparse.linalg.splu, imported on first call: only the fallback
+    of _linear_solve factors, so a run that never falls back never loads
+    scipy.sparse.linalg."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(A, **options)
 
-    lu is the factor of some earlier Jacobian, or None before the first
-    factorization; _linear_solve replaces it when refinement against it
-    stops contracting.
+
+class Factor:
+    """What a continuation's Newton systems are refined against.
+
+    modes is a PhiModes of an earlier J, averaged over phi, and lu a sparse
+    LU of one; at most one of them is held, None before the first solve.
+    grid is the grid the modes are built on; without one (Factor()), only
+    LUs are held.  _linear_solve replaces what it holds when refinement
+    against it stops contracting.
     """
 
-    __slots__ = ("lu",)
+    __slots__ = ("grid", "modes", "lu")
 
-    def __init__(self):
-        self.lu = None
+    def __init__(self, grid: Optional[SphereGrid] = None):
+        self.grid, self.modes, self.lu = grid, None, None
 
 
 def _perm_parity(perm: np.ndarray) -> int:
@@ -370,48 +388,72 @@ def _lu_det_sign(lu) -> int:
             * _perm_parity(lu.perm_c))
 
 
-def _refine(lu, J: sp.csr_matrix, rhs: np.ndarray):
-    """Iterative refinement of J x = rhs against lu, the LU of a nearby matrix.
+def _refine(op, J: sp.csr_matrix, rhs: np.ndarray):
+    """Iterative refinement of J x = rhs against op, whose solve inverts a
+    nearby matrix: held or rebuilt phi-averaged modes, or an earlier LU.
 
-    Returns (x, sweeps); x is None when the refinement gives up.  After
-    sweep j the contraction is theta = |r_j| / |r_{j-1}|, with |r_{-1}| =
-    |rhs|; at that rate the goal is j + log(goal / |r_j|) / log(theta)
-    sweeps away.  It gives up as soon as theta >= 1 (or NaN) or that count
-    exceeds REFINE_MAX_SWEEPS, the contraction test of Deuflhard, Newton
-    Methods for Nonlinear Problems (2004), applied to the linear iteration.
+    Returns (x, sweeps); x is None when the refinement gives up.  The goal
+    is max(REFINE_TOL |rhs|, REFINE_FLOOR max(|J| |x|)), with |J| a copy of
+    J's pattern (abs(J) would sort J's indices in place) and x the current
+    iterate.  After sweep j the contraction is theta = |r_j| / |r_{j-1}|,
+    with |r_{-1}| = |rhs|; at that rate the goal is j + log(goal / |r_j|) /
+    log(theta) sweeps away.  It gives up as soon as theta >= 1 (or NaN) or
+    that count exceeds REFINE_MAX_SWEEPS, the contraction test of
+    Deuflhard, Newton Methods for Nonlinear Problems (2004), applied to the
+    linear iteration.
     """
-    x = lu.solve(rhs)
+    abs_j = sp.csr_matrix((np.abs(J.data), J.indices, J.indptr), shape=J.shape)
+    x = op.solve(rhs)
     r = rhs - J @ x
     last, rnorm = np.abs(rhs).max(), np.abs(r).max()
-    goal = REFINE_TOL * last
+    tol = REFINE_TOL * last
     sweeps = 0
-    while not rnorm <= goal:
+    while True:
+        goal = max(tol, REFINE_FLOOR * (abs_j @ np.abs(x)).max())
+        if rnorm <= goal:
+            return x, sweeps
         theta = rnorm / last
         if not theta < 1.0 or (sweeps + math.log(goal / rnorm) / math.log(theta)
                                > REFINE_MAX_SWEEPS):
             return None, sweeps
-        x += lu.solve(r)
+        x += op.solve(r)
         sweeps += 1
         r = rhs - J @ x
         last, rnorm = rnorm, np.abs(r).max()
-    return x, sweeps
+
+
+def _preconditioners(J: sp.csr_matrix, factor: Factor):
+    """(slot, op) pairs for _linear_solve to refine against, in turn: what
+    factor holds, then, when factor has a grid, the modes of J itself."""
+    if factor.modes is not None:
+        yield "modes", factor.modes
+    elif factor.lu is not None:
+        yield "lu", factor.lu
+    if factor.grid is not None:
+        yield "modes", PhiModes(J, factor.grid)
 
 
 def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = None,
                   report: Optional[SolveReport] = None) -> np.ndarray:
-    """Solve J x = rhs, reusing factor's LU when refinement against it converges.
+    """Solve J x = rhs by refinement against what factor holds, else directly.
 
-    Otherwise J is factored afresh, solved directly with one step of
-    iterative refinement, and its LU kept in factor.  Without a factor every
-    call factors J.  report, if given, counts factorizations and sweeps.
+    When refinement against the held modes or LU gives up, and factor has
+    a grid, the modes are rebuilt from J and refined against once more; a
+    success keeps them in factor.  Only when that also fails (or factor
+    has no grid) is J factored afresh, solved directly with one step of
+    iterative refinement, and its LU kept in factor in their place.
+    Without a factor every call factors J.  report, if given, counts
+    factorizations and sweeps.
     """
-    if factor is not None and factor.lu is not None:
-        x, sweeps = _refine(factor.lu, J, rhs)
-        if report is not None:
-            report.refine_sweeps += sweeps
-        if x is not None:
-            return x
-        factor.lu = None     # one LU alive at a time: drop it before factoring
+    if factor is not None:
+        for slot, op in _preconditioners(J, factor):
+            factor.modes = factor.lu = None     # one factor alive at a time
+            x, sweeps = _refine(op, J, rhs)
+            if report is not None:
+                report.refine_sweeps += sweeps
+            if x is not None:
+                setattr(factor, slot, op)
+                return x
     try:
         lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
@@ -435,8 +477,10 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  factor: Optional[Factor] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
-    With a factor, each Newton system is solved against the LU it holds
-    (see _linear_solve); without one, every step factors its Jacobian.
+    With a factor, each Newton system is solved by refinement against the
+    modes or LU it holds (see _linear_solve); without one, every step
+    factors its Jacobian.  The converged report's state is the geometry of
+    the returned field.
 
     Backtracking accepts a step only when the candidate stays strictly
     inside the radial domain, keeps the curvatures inside the cone with
@@ -444,8 +488,9 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     Raises ConeBreach when no step length is even admissible and
     NoConvergence when MAX_NEWTON_ITERS steps do not reach newton_tol; both
     carry the report of this solve.  When a step was damped, the converged
-    report's branch_index is sign det J from the LU that served the last
-    step: a fresh one, or a held LU A of an earlier J against which
+    report's branch_index is sign det J from what served the last step:
+    PhiModes.det_sign of the modes, or _lu_det_sign of an LU.  A fresh LU is
+    of J itself; modes, or a held LU, are a nearby A against which
     refinement contracted, which needs |I - A^-1 J| < 1, so det A and det J
     have the same sign.
     """
@@ -467,7 +512,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             break
         J = jacobian(model, fieldv, psi, k, state)
         if factor is None:
-            held.lu = None
+            held.lu = None      # a lone solve factors every J
         try:
             delta = _linear_solve(J, -res.ravel(), held, report).reshape(fieldv.grid.shape)
         except NoConvergence as exc:
@@ -508,15 +553,17 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             field=fieldv, report=report)
     report.converged = True
     report.message = "converged"
+    report.state = state
     if damped:
-        report.branch_index = _lu_det_sign(held.lu)
+        report.branch_index = (held.modes.det_sign() if held.modes is not None
+                               else _lu_det_sign(held.lu))
     return fieldv, report
 
 
 # ---------------------------------------------------------------------------
 # homotopy continuation
 
-# The radial start radius is resolved to a bracket this wide.
+# The radial start radius is resolved to a bracket this wide, relative below 1.
 RADIAL_XTOL = 1e-14
 
 
@@ -525,14 +572,15 @@ def _illinois(f, a: float, b: float, fa: float, fb: float) -> float:
 
     Regula falsi with the Illinois modification: each time an end is kept
     while the other moves, its value is halved, so both ends close in on
-    the root.  Each
-    secant point is kept at least RADIAL_XTOL / 2 inside the bracket, so a
-    root sitting at an end ends the search in one more evaluation instead
-    of creeping up on it; the bracket shrinks until it is RADIAL_XTOL wide.
+    the root.  The bracket shrinks until it is at most xtol = RADIAL_XTOL
+    min(1, |b|) wide, relative below r = 1, so a start far below 1 keeps
+    full precision.  Each secant point is kept at least xtol / 2 inside the
+    bracket, so a root sitting at an end ends the search in one more
+    evaluation instead of creeping up on it.
     """
-    while abs(b - a) > RADIAL_XTOL:
+    while abs(b - a) > (xtol := RADIAL_XTOL * min(1.0, abs(b))):
         c = b - fb * (b - a) / (fb - fa)
-        c = min(max(c, min(a, b) + 0.5 * RADIAL_XTOL), max(a, b) - 0.5 * RADIAL_XTOL)
+        c = min(max(c, min(a, b) + 0.5 * xtol), max(a, b) - 0.5 * xtol)
         fc = f(c)
         if fc == 0.0:
             return c
@@ -606,47 +654,67 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
     raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
-class PhiModes:
-    """J x = b for a J that commutes with the shift by one longitude, solved
-    one phi-Fourier mode at a time.
+def _phi_bands(J: sp.csr_matrix, grid: SphereGrid) -> np.ndarray:
+    """J's stencil coefficients averaged over phi, per theta-row.
 
-    Such a J has J[(i, j), (i', j')] = C_ii'(j' - j), so its rows at
-    phi-index 0 hold every C.  It maps x_i' w^(m j'), w = exp(2 pi i /
-    n_phi), to (B_m x)_i w^(m j) with B_m = sum_d C(d) w^(md): J x = b
-    splits into one n_theta x n_theta system per mode m = 0 .. n_phi/2 of
-    the real FFT in phi.  The 9-point stencil makes every B_m tridiagonal,
-    since a ghost beyond a pole is a node of the pole row itself, half a
-    turn away, and lands on the diagonal.  The B_m are factored by Thomas
-    elimination (no pivoting), one sweep vectorized over the modes.
+    bands[b, i, d] is the mean over j of J[(i, j), (i + b - 1, j + d)], the
+    coupling of node (i, j) to theta-row i - 1, i or i + 1 (b = 0, 1, 2)
+    at phi-offset d mod n_phi.  A ghost beyond a pole
+    is a node of the pole row itself, half a turn away, so it lands in
+    b = 1.  For a J that commutes with phi-shifts every j gives the same
+    value, and the mean is J's own C_i,i+b-1(d).
+    """
+    n_t, n_p = grid.n_theta, grid.n_phi
+    col = J.indices
+    row = np.repeat(np.arange(grid.n_nodes, dtype=col.dtype), np.diff(J.indptr))
+    i = row // n_p
+    # col - row = (i' - i) n_phi + (j' - j), so its residue mod n_phi is d
+    flat = ((col // n_p - i + 1) * n_t + i) * n_p + (col - row) % n_p
+    sums = np.bincount(flat, weights=J.data, minlength=3 * n_t * n_p)
+    return sums.reshape(3, n_t, n_p) / n_p
+
+
+class PhiModes:
+    """J x = b, solved one phi-Fourier mode at a time for the phi-average of J.
+
+    A J that commutes with the shift by one longitude has J[(i, j), (i',
+    j')] = C_ii'(j' - j).  It maps x_i' w^(m j'), w = exp(2 pi i / n_phi),
+    to (B_m x)_i w^(m j) with B_m = sum_d C(d) w^(md): J x = b splits into
+    one n_theta x n_theta system per mode m = 0 .. n_phi/2 of the real FFT
+    in phi.  The 9-point stencil makes every B_m tridiagonal, since the
+    pole ghosts land on the diagonal (_phi_bands).  The C are J's
+    coefficients averaged over phi, which is J itself when J commutes with
+    phi-shifts (the predictor's J0) and otherwise the optimal circulant
+    approximation in phi of T. Chan (SIAM J. Sci. Stat. Comput. 9, 1988),
+    a preconditioner that _refine iterates against.  The B_m are factored
+    by Thomas elimination (no pivoting), one sweep vectorized over the
+    modes.
     """
 
-    __slots__ = ("_n_phi", "_sub", "_piv", "_ratio")
+    __slots__ = ("_shape", "_sub", "_piv", "_ratio")
 
     def __init__(self, J: sp.csr_matrix, grid: SphereGrid):
-        rows = J[::grid.n_phi].tocoo()                      # nodes (i, 0)
-        col_t, col_p = np.divmod(rows.col, grid.n_phi)
-        bands = np.zeros((3, grid.n_theta, grid.n_phi))      # C_i,i-1  C_ii  C_i,i+1
-        np.add.at(bands, (col_t - rows.row + 1, rows.row, col_p), rows.data)
         # sum_d C(d) w^(md) of a real C is the conjugate of numpy's forward FFT
-        sub, diag, sup = np.conj(np.fft.rfft(bands, axis=-1))
+        sub, diag, sup = np.conj(np.fft.rfft(_phi_bands(J, grid), axis=-1))
         piv = np.empty_like(diag)
         ratio = np.empty_like(sup[:-1])                     # sup_i / piv_i
         piv[0] = diag[0]
         for i in range(1, grid.n_theta):
             ratio[i - 1] = sup[i - 1] / piv[i - 1]
             piv[i] = diag[i] - sub[i] * ratio[i - 1]
-        self._n_phi, self._sub, self._piv, self._ratio = grid.n_phi, sub, piv, ratio
+        self._shape, self._sub, self._piv, self._ratio = grid.shape, sub, piv, ratio
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with J x = rhs, both of the grid's (n_theta, n_phi) shape."""
+        """x with J x = rhs, of rhs's shape: the grid's (n_theta, n_phi) or
+        flat over the nodes."""
         sub, piv, ratio = self._sub, self._piv, self._ratio
-        y = np.fft.rfft(rhs, axis=-1)
+        y = np.fft.rfft(np.reshape(rhs, self._shape), axis=-1)
         y[0] /= piv[0]
         for i in range(1, len(y)):
             y[i] = (y[i] - sub[i] * y[i - 1]) / piv[i]
         for i in range(len(y) - 2, -1, -1):
             y[i] -= ratio[i] * y[i + 1]
-        return np.fft.irfft(y, n=self._n_phi, axis=-1)
+        return np.fft.irfft(y, n=self._shape[1], axis=-1).reshape(np.shape(rhs))
 
     def det_sign(self) -> int:
         """sign det J = sign det B_0 * sign det B_(n_phi/2), from the Thomas
@@ -689,14 +757,15 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     sufficient: a second solution of the start's index passes it.  A step
     that would end within MIN_HOMOTOPY_STEP of t = 1 goes to 1, and the run
     stalls once a halved step falls below it.  Every Newton solve of the
-    continuation shares one Factor.
+    continuation shares one Factor on the grid, so its systems refine
+    against phi-averaged modes and fall back to an LU only when that fails.
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
     psi0 = builtin(model, "round_target", k=psi_target.k, r_bar=r0, m=k + 2)
     fieldv = constant_field(grid, r0)
     report = SolveReport()
-    factor = Factor()
+    factor = Factor(grid)
 
     t = 0.0
     dt = FIRST_STEP
@@ -711,7 +780,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     # A Newton solve that returns after no step returns its seed, so the
     # iterate leaves the start only through a stage that took steps from
     # it, and every such stage built modes first: a damped stage finds them.
-    start, start_state = fieldv, assemble(model, fieldv)
+    start, start_state = fieldv, sub.state
     modes = None
     plain = False          # the next attempt starts Newton at the start itself
     while t < 1.0:

@@ -8,8 +8,6 @@ the mid-teens, unlike naive subset enumeration.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 
@@ -75,19 +73,3 @@ def in_gamma_cone(lam, k: int):
     """
     return cone_margin(lam, k) > 0.0
 
-
-def normalized_sigma2_root(lam):
-    """Degree-2 operator in normalized square-root form: sqrt(sigma_2 / C(n,2)).
-
-    Concave on the admissibility cone, which is what makes it the
-    preferred form for line searches.  Only defined where sigma_2 > 0.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if n < 2:
-        raise ValueError("need at least 2 entries for the degree-2 operator")
-    s2 = sigma(lam, 2)
-    if np.any(s2 <= 0.0):
-        raise ValueError("sigma_2 <= 0: outside the degree-2 positivity cone")
-    out = np.sqrt(s2 / comb(n, 2))
-    return out if np.ndim(out) else float(out)

@@ -546,10 +546,12 @@ def test_writers_match_per_value_formatting(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # startup time: the radial start needs no scipy.optimize, and the branch
-    # index takes its permutation parity from numpy, not scipy.sparse.csgraph
+    # startup time: the radial start needs no scipy.optimize, the branch
+    # index takes its permutation parity from numpy, not scipy.sparse.csgraph,
+    # and scipy.sparse.linalg is imported only when a solve falls back to splu
     code = ("import sys, starcurv.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules])")
+            "print([m for m in ('scipy.optimize', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')"
+            " if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

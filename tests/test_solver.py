@@ -619,6 +619,73 @@ def test_phi_modes_solve_matches_splu(K, r_bar, axis, nt):
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
+def test_phi_bands_of_j0_match_its_row_0(K, r_bar):
+    # J0 commutes with phi-shifts, so its coefficients averaged over phi
+    # are those its rows at phi-index 0 hold (the build before averaging)
+    m = spaceform(K)
+    g = build_grid(16, 32)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    start, psi0 = _start(m, g, builtin(m, "anisotropic", base=base, epsilon=0.2,
+                                       axis=TILTED_AXIS))
+    J0 = jacobian(m, start, psi0, 2)
+    rows = J0[::g.n_phi].tocoo()
+    col_t, col_p = np.divmod(rows.col, g.n_phi)
+    ref = np.zeros((3,) + g.shape)
+    np.add.at(ref, (col_t - rows.row + 1, rows.row, col_p), rows.data)
+    bands = solver._phi_bands(J0, g)
+    assert np.abs(bands - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_phi_modes_det_sign_matches_dense_slogdet_at_damped_solutions(grid16):
+    # K = +1, epsilon = 0.24: Newton damps a step from the predicted seed and
+    # lands on the start's branch (+1), and from the start itself it lands
+    # on the second solution (-1).  Both converge by refinement against
+    # phi-averaged modes with no LU, and the index the modes give is the
+    # sign of the dense determinant of J at the solution
+    m = spaceform(1)
+    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
+    start, psi0 = _start(m, grid16, psi)
+    psi1 = psi0.blend(psi, 1.0)
+    j0_modes = solver.PhiModes(jacobian(m, start, psi0, 2), grid16)
+    predicted = ScalarField(grid16, start.values
+                            - j0_modes.solve(residual(m, start, psi1, 2).values))
+    for seed, index in ((predicted, 1), (start, -1)):
+        factor = solver.Factor(grid16)
+        fieldv, report = newton_solve(m, seed, psi1, 2, TIGHT, factor=factor)
+        assert report.factorizations == 0 and factor.lu is None
+        assert report.branch_index == factor.modes.det_sign() == index
+        assert np.linalg.slogdet(jacobian(m, fieldv, psi1, 2).toarray())[0] == index
+
+
+@pytest.mark.parametrize("case", ["no_sweeps", "K+1"])
+def test_continuation_falls_back_to_lu_when_refinement_cannot_contract(case, grid16,
+                                                                        monkeypatch):
+    # a tilted axis makes J depend on phi, so its phi-average is no longer
+    # J itself.  With no sweep allowed (K = 0), or on the K = +1 problem,
+    # refinement against the averaged modes gives up, and so does the one
+    # rebuild from the current J: the continuation factors with SuperLU and
+    # reaches the field of a run that factors every Jacobian
+    K, r_bar = {"no_sweeps": (0, 1.0), "K+1": (1, 0.8)}[case]
+    if case == "no_sweeps":
+        monkeypatch.setattr(solver, "REFINE_MAX_SWEEPS", 0)
+    m = spaceform(K)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=TILTED_AXIS)
+    fieldv, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert report.converged and report.homotopy_t == [0.0, 1.0]
+    assert report.factorizations >= 1
+    real_newton = solver.newton_solve
+
+    def fresh(model, rho0, psi, k, opts=None, factor=None):
+        return real_newton(model, rho0, psi, k, opts)
+
+    monkeypatch.setattr(solver, "newton_solve", fresh)
+    f_fresh, _ = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert np.abs(fieldv.values - f_fresh.values).max() < 1e-10
+
+
+@pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
 def test_tangent_predictor_saves_newton_steps_tilted(K, r_bar, grid16, monkeypatch):
     # the tangent predictor seeds the first stage closer to its solution
     # than the radial start does: fewer Newton steps and factorizations, and
@@ -647,7 +714,9 @@ def test_tangent_predictor_dropped_for_one_retry_from_the_start(step, grid16, mo
     tt, pp = grid16.mesh()
     bad = {"leaves_domain": np.full(grid16.shape, 10.0),
            "leaves_cone": -0.9 * np.sin(tt) * np.cos(2.0 * pp)}[step]
-    monkeypatch.setattr(solver.PhiModes, "solve", lambda self, rhs: bad)
+    # the same bad answer, in the shape asked for, to Newton's refinement
+    monkeypatch.setattr(solver.PhiModes, "solve",
+                        lambda self, rhs: np.reshape(bad, np.shape(rhs)).copy())
     attempts = []
     real_blend = Prescription.blend
 
@@ -710,6 +779,16 @@ def test_radial_start_scans_below_r_1e_3(K):
     assert m.sphere_sigma(r_star, 2) == pytest.approx(2e6, rel=1e-10)
     assert 7e-4 < r_star < 7.1e-4
     assert np.abs(fieldv.values - r_star).max() < 1e-12
+
+
+def test_radial_start_below_r_1_keeps_relative_precision():
+    # the Illinois bracket closes to RADIAL_XTOL relative below r = 1, so a
+    # start near 7.07e-4 solves the round problem to roundoff, not to
+    # RADIAL_XTOL / r0
+    m = spaceform(-1)
+    psi = builtin(m, "constant", c=2e6)
+    r0 = solver._radial_start(m, build_grid(16, 32), psi, 2)
+    assert abs(m.sphere_sigma(r0, 2) - 2e6) <= 1e-14 * 2e6
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8), (1, 1.45)])
@@ -890,10 +969,34 @@ def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16, mon
     assert rep_fresh.refine_sweeps == 0
 
 
-def test_continuation_reports_factorizations_and_sweeps(grid16):
+def test_continuation_assembles_only_the_iterates_newton_evaluates(grid16, monkeypatch):
+    # the predictor reads the radial start's geometry from the t = 0 solve
+    # (its report's state) instead of assembling the start again
+    counts = {"assemble": 0, "evaluate": 0}
+    real_assemble, real_evaluate = solver.assemble, solver._evaluate
+
+    def assemble(*args):
+        counts["assemble"] += 1
+        return real_assemble(*args)
+
+    def evaluate(*args):
+        counts["evaluate"] += 1
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(solver, "assemble", assemble)
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
     m = spaceform(0)
     _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
-    assert 1 <= report.factorizations < report.iterations
+    assert report.iterations > 0
+    assert counts["assemble"] == counts["evaluate"]
+
+
+def test_continuation_reports_factorizations_and_sweeps(grid16):
+    # the headline's Newton systems refine against phi-averaged modes:
+    # sweeps, and no LU
+    m = spaceform(0)
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
+    assert report.factorizations == 0
     assert report.refine_sweeps > 0
     summary = report.summary()
     assert summary["factorizations"] == report.factorizations

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starcurv.symfunc import (cone_margin, in_gamma_cone, normalized_sigma2_root,
-                              sigma, sigma_all, sigma_partial)
+from starcurv.symfunc import cone_margin, in_gamma_cone, sigma, sigma_all, sigma_partial
 
 
 def brute_sigma(lam, k):
@@ -36,15 +35,6 @@ def test_gamma_cone_examples():
     assert not in_gamma_cone([1.0, 1.0, -0.5], 2)
     assert not in_gamma_cone([3.0, -1.0], 2)
     assert in_gamma_cone([3.0, -1.0], 1)
-
-
-def test_normalized_sigma2_root_examples():
-    assert normalized_sigma2_root([1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
-    assert normalized_sigma2_root([1.0, 1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
-    # frozen sqrt(26/3) from the brute-force sigma_2(2,3,4) = 26
-    assert normalized_sigma2_root([2.0, 3.0, 4.0]) == pytest.approx(2.943920288775949, abs=1e-14)
-    with pytest.raises(ValueError):
-        normalized_sigma2_root([1.0, -2.0])
 
 
 def test_degree_bounds():
@@ -135,17 +125,3 @@ def test_hypothesis_algebraic_identities(lam, data):
     lower = brute_sigma(lam.tolist(), k - 1) if k > 1 else 1.0
     assert abs(grad.sum() - (n - k + 1) * lower) < 1e-11 * scale
     assert abs((lam * grad).sum() - k * sigma(lam, k)) < 1e-11 * scale
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=4), st.data())
-def test_hypothesis_concavity_of_normalized_root(n, data):
-    # The normalized degree-2 root is concave on its cone: midpoint value
-    # dominates the average of endpoint values.
-    pos = st.floats(min_value=0.05, max_value=3.0, allow_nan=False)
-    lam = np.asarray(data.draw(st.lists(pos, min_size=n, max_size=n)))
-    mu = np.asarray(data.draw(st.lists(pos, min_size=n, max_size=n)))
-    assert in_gamma_cone(lam, 2) and in_gamma_cone(mu, 2)
-    mid = normalized_sigma2_root((lam + mu) / 2.0)
-    avg = 0.5 * (normalized_sigma2_root(lam) + normalized_sigma2_root(mu))
-    assert mid >= avg - 1e-12
