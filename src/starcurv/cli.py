@@ -32,6 +32,8 @@ EXIT_NO_CONVERGENCE = 3
 def _write_solution_artifacts(cfg: RunConfig, fieldv, report: SolveReport | None) -> None:
     """Write fieldv's node table and mesh, and the run's report.
 
+    A converged report's state is fieldv's geometry, so only a failed
+    solve's last good field or a re-exported one is assembled here.
     Without a solve report (a re-export) the report takes fieldv's monitors;
     without a field (no radial start) only the report is written.
     """
@@ -43,7 +45,10 @@ def _write_solution_artifacts(cfg: RunConfig, fieldv, report: SolveReport | None
         "psi_family": cfg.psi.family,
     }
     if fieldv is not None:
-        state, res, margin = _residual_of(assemble(cfg.model, fieldv), cfg.psi, cfg.k)
+        state = report.state if report is not None else None
+        if state is None:
+            state = assemble(cfg.model, fieldv)
+        state, res, margin = _residual_of(state, cfg.psi, cfg.k)
         write_node_table(cfg.node_table_path, state, res)
         write_mesh(cfg.mesh_path, cfg.grid, fieldv.values)
     if report is not None:

@@ -9,24 +9,22 @@ six raw jet components c, with D_c the grid's fixed stencil matrices
 (cross-pole ghosting folded in).  dF/dc is closed form for sigma_k, the
 linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
 through the jet's entries of g and h, and the prescription's own partials
-in rho and nu for the three components they read.  A continuation keeps
-one held factor across all its Newton steps and stages, and solves each
-Newton system by iterative refinement against it: the curvatures stay
-bounded along the homotopy, so J drifts little.  The held factor is a
-PhiModes of J averaged over phi (T. Chan's optimal circulant
-approximation, applied per theta-block), one real FFT in phi and one
-tridiagonal Thomas sweep in theta per mode, with no LU.  When refinement
-against it stops contracting, the modes are rebuilt once from the current
-J, and only if that also fails is J factored by SuperLU with the
-minimum-degree ordering of J^T + J (MMD_AT_PLUS_A); the LU is then held
-in their place.  scipy.sparse.linalg is imported only for that fallback.
-Refinement stops at Oettli and Prager's componentwise backward error
-floor when REFINE_TOL |b| asks for more than float64 can deliver.  The
-continuation tries the whole path t = 0 -> 1 in one step first, halves a
-step that fails and doubles the next one after a step that succeeds.  It
-is an Euler-Newton predictor-corrector: each attempt of the first stage
-after t = 0 seeds Newton with the tangent predictor start - J0^-1
-F(start; psi_t).  J0, the Jacobian at the radial start, commutes with
+in rho and nu for the three components they read.  Each Newton system is
+solved by iterative refinement against the PhiModes of its own J: J
+averaged over phi (T. Chan's optimal circulant approximation, applied per
+theta-block), one real FFT in phi and one tridiagonal Thomas sweep in
+theta per mode, with no LU.  When J commutes with phi-shifts (an axis
+along e_z) the modes are J itself, and their first solve meets the goal
+with no sweep.  Only when refinement stops contracting is J factored by
+SuperLU with the minimum-degree ordering of J^T + J (MMD_AT_PLUS_A);
+nothing is held from one system to the next, and scipy.sparse.linalg is
+imported only for that fallback.  Refinement stops at Oettli and Prager's
+componentwise backward error floor when REFINE_TOL |b| asks for more
+than float64 can deliver.  The continuation tries the whole path t = 0 ->
+1 in one step first, halves a step that fails and doubles the next one
+after a step that succeeds.  It is an Euler-Newton predictor-corrector:
+each attempt of the first stage after t = 0 seeds Newton with the
+tangent predictor start - J0^-1 F(start; psi_t).  J0, the Jacobian at the radial start, commutes with
 phi-shifts for every target, so its PhiModes solves it exactly.  The
 predictor is skipped when the start already meets newton_tol at t, and
 dropped for one retry from the start when its field leaves (0, a) or is
@@ -119,15 +117,16 @@ class SolveReport:
     counts as iterate zero, and is recorded even when it is not
     admissible).  homotopy_t has one entry per accepted continuation
     stage; homotopy_t_final is the last of them, 0 before the first.
-    factorizations counts the sparse LUs, which a continuation builds only
-    when refinement against phi-averaged modes fails (see _linear_solve),
-    and refine_sweeps the refinement sweeps against held or rebuilt modes
-    or a held LU; like iterations, both cover the accepted stages only.
-    branch_rejections counts the stages rejected because the branch index
-    at their solution differed from the start's.  branch_index is sign
-    det J at the solution of a Newton solve that damped a step, 0 when it
-    damped none.  state is the geometry of the field a Newton solve
-    returned, None on a continuation's report.
+    factorizations counts the sparse LUs, which a Newton system needs only
+    when refinement against the phi-averaged modes of its J gives up (see
+    _linear_solve), and refine_sweeps the refinement sweeps against those
+    modes; on a continuation's report, like iterations, both cover the
+    accepted stages only.  branch_rejections counts the stages rejected
+    because the branch index at their solution differed from the start's.
+    branch_index is sign det J at the solution of a Newton solve that
+    damped a step, 0 when it damped none.  state is the geometry of the
+    field a converged solve returned (a continuation's is its last
+    stage's), None on a failed solve's report.
     """
 
     converged: bool = False
@@ -350,22 +349,6 @@ def splu(A, **options):
     return superlu(A, **options)
 
 
-class Factor:
-    """What a continuation's Newton systems are refined against.
-
-    modes is a PhiModes of an earlier J, averaged over phi, and lu a sparse
-    LU of one; at most one of them is held, None before the first solve.
-    grid is the grid the modes are built on; without one (Factor()), only
-    LUs are held.  _linear_solve replaces what it holds when refinement
-    against it stops contracting.
-    """
-
-    __slots__ = ("grid", "modes", "lu")
-
-    def __init__(self, grid: Optional[SphereGrid] = None):
-        self.grid, self.modes, self.lu = grid, None, None
-
-
 def _perm_parity(perm: np.ndarray) -> int:
     """(-1)^(n - cycles) of a permutation of 0..n-1, by pointer jumping.
 
@@ -390,7 +373,7 @@ def _lu_det_sign(lu) -> int:
 
 def _refine(op, J: sp.csr_matrix, rhs: np.ndarray):
     """Iterative refinement of J x = rhs against op, whose solve inverts a
-    nearby matrix: held or rebuilt phi-averaged modes, or an earlier LU.
+    nearby matrix: the phi-averaged modes of J in _linear_solve.
 
     Returns (x, sweeps); x is None when the refinement gives up.  The goal
     is max(REFINE_TOL |rhs|, REFINE_FLOOR max(|J| |x|)), with |J| a copy of
@@ -422,38 +405,21 @@ def _refine(op, J: sp.csr_matrix, rhs: np.ndarray):
         last, rnorm = rnorm, np.abs(r).max()
 
 
-def _preconditioners(J: sp.csr_matrix, factor: Factor):
-    """(slot, op) pairs for _linear_solve to refine against, in turn: what
-    factor holds, then, when factor has a grid, the modes of J itself."""
-    if factor.modes is not None:
-        yield "modes", factor.modes
-    elif factor.lu is not None:
-        yield "lu", factor.lu
-    if factor.grid is not None:
-        yield "modes", PhiModes(J, factor.grid)
+def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, grid: SphereGrid,
+                  report: Optional[SolveReport] = None):
+    """Solve J x = rhs by refinement against the PhiModes of J, else directly.
 
-
-def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = None,
-                  report: Optional[SolveReport] = None) -> np.ndarray:
-    """Solve J x = rhs by refinement against what factor holds, else directly.
-
-    When refinement against the held modes or LU gives up, and factor has
-    a grid, the modes are rebuilt from J and refined against once more; a
-    success keeps them in factor.  Only when that also fails (or factor
-    has no grid) is J factored afresh, solved directly with one step of
-    iterative refinement, and its LU kept in factor in their place.
-    Without a factor every call factors J.  report, if given, counts
-    factorizations and sweeps.
+    Returns (x, op), op being what served the system: the modes, or, when
+    refinement against them gives up, a SuperLU factor of J, which solves
+    it directly with one step of iterative refinement.  Neither outlives
+    the call.  report, if given, counts factorizations and sweeps.
     """
-    if factor is not None:
-        for slot, op in _preconditioners(J, factor):
-            factor.modes = factor.lu = None     # one factor alive at a time
-            x, sweeps = _refine(op, J, rhs)
-            if report is not None:
-                report.refine_sweeps += sweeps
-            if x is not None:
-                setattr(factor, slot, op)
-                return x
+    modes = PhiModes(J, grid)
+    x, sweeps = _refine(modes, J, rhs)
+    if report is not None:
+        report.refine_sweeps += sweeps
+    if x is not None:
+        return x, modes
     try:
         lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
@@ -464,23 +430,20 @@ def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, factor: Optional[Factor] = 
     x += lu.solve(rhs - J @ x)
     if not np.all(np.isfinite(x)):
         raise NoConvergence("linear solve failed: singular Jacobian")
-    if factor is not None:
-        factor.lu = lu
-    return x
+    return x, lu
 
 
 # ---------------------------------------------------------------------------
 # damped Newton
 
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
-                 k: int, opts: Optional[SolverOptions] = None,
-                 factor: Optional[Factor] = None):
+                 k: int, opts: Optional[SolverOptions] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
-    With a factor, each Newton system is solved by refinement against the
-    modes or LU it holds (see _linear_solve); without one, every step
-    factors its Jacobian.  The converged report's state is the geometry of
-    the returned field.
+    Each Newton system is solved by refinement against the phi-averaged
+    modes of its own Jacobian, and by SuperLU only when that gives up (see
+    _linear_solve).  The converged report's state is the geometry of the
+    returned field.
 
     Backtracking accepts a step only when the candidate stays strictly
     inside the radial domain, keeps the curvatures inside the cone with
@@ -489,14 +452,13 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     NoConvergence when MAX_NEWTON_ITERS steps do not reach newton_tol; both
     carry the report of this solve.  When a step was damped, the converged
     report's branch_index is sign det J from what served the last step:
-    PhiModes.det_sign of the modes, or _lu_det_sign of an LU.  A fresh LU is
-    of J itself; modes, or a held LU, are a nearby A against which
-    refinement contracted, which needs |I - A^-1 J| < 1, so det A and det J
-    have the same sign.
+    PhiModes.det_sign of the modes, or _lu_det_sign of an LU.  The LU is of
+    J itself; the modes are a nearby A against which refinement
+    contracted, which needs |I - A^-1 J| < 1, so det A and det J have the
+    same sign.
     """
     opts = opts or SolverOptions()
     report = SolveReport()
-    held = factor if factor is not None else Factor()
     damped = False
     fieldv = rho0
     state, res, margin = _evaluate(model, fieldv, psi, k)
@@ -511,12 +473,11 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
         if rnorm <= opts.newton_tol:
             break
         J = jacobian(model, fieldv, psi, k, state)
-        if factor is None:
-            held.lu = None      # a lone solve factors every J
         try:
-            delta = _linear_solve(J, -res.ravel(), held, report).reshape(fieldv.grid.shape)
+            delta, served = _linear_solve(J, -res.ravel(), fieldv.grid, report)
         except NoConvergence as exc:
             raise NoConvergence(str(exc), field=fieldv, report=report) from None
+        delta = delta.reshape(fieldv.grid.shape)
 
         alpha = 1.0
         accepted = False
@@ -555,8 +516,8 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     report.message = "converged"
     report.state = state
     if damped:
-        report.branch_index = (held.modes.det_sign() if held.modes is not None
-                               else _lu_det_sign(held.lu))
+        report.branch_index = (served.det_sign() if isinstance(served, PhiModes)
+                               else _lu_det_sign(served))
     return fieldv, report
 
 
@@ -756,21 +717,19 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     that meet at a fold have opposite indices.  The test is necessary, not
     sufficient: a second solution of the start's index passes it.  A step
     that would end within MIN_HOMOTOPY_STEP of t = 1 goes to 1, and the run
-    stalls once a halved step falls below it.  Every Newton solve of the
-    continuation shares one Factor on the grid, so its systems refine
-    against phi-averaged modes and fall back to an LU only when that fails.
+    stalls once a halved step falls below it.  The report's state is the
+    last stage's, the geometry of the returned field.
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
     psi0 = builtin(model, "round_target", k=psi_target.k, r_bar=r0, m=k + 2)
     fieldv = constant_field(grid, r0)
     report = SolveReport()
-    factor = Factor(grid)
 
     t = 0.0
     dt = FIRST_STEP
     try:
-        fieldv, sub = newton_solve(model, fieldv, psi0, k, opts, factor=factor)
+        fieldv, sub = newton_solve(model, fieldv, psi0, k, opts)
     except NoConvergence as exc:
         report.absorb(exc.report)
         report.message = f"the radial start failed at t = 0: {exc}"
@@ -804,7 +763,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         plain = False
         failure = None
         try:
-            solved, sub = newton_solve(model, seed, psi_t, k, opts, factor=factor)
+            solved, sub = newton_solve(model, seed, psi_t, k, opts)
         except NoConvergence as exc:
             if (seed is not fieldv and isinstance(exc, ConeBreach)
                     and exc.report.cone_margin[0] < CONE_MARGIN):
@@ -822,13 +781,14 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
                 report.message = f"homotopy stalled at t = {t!r}: {failure}"
                 raise NoConvergence(report.message, field=fieldv, report=report) from None
             continue
-        t, fieldv = t_next, solved
+        t, fieldv, state = t_next, solved, sub.state
         report.absorb(sub)
         report.homotopy_t.append(t)
         dt *= 2.0
 
     report.converged = True
     report.message = "converged"
+    report.state = state
     return fieldv, report
 
 

@@ -44,6 +44,12 @@ psi.c = 1.0
 solver.newton_tol = 1e-11
 """
 
+ANISO_CFG = ROUND_CFG.replace("psi.family = constant\npsi.c = 1.0", """psi.family = anisotropic
+psi.base_family = round_target
+psi.r_bar = 1.0
+psi.m = 4.0
+psi.epsilon = 0.2""")
+
 
 def test_solve_round_sphere(tmp_path):
     cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG)
@@ -115,12 +121,7 @@ def test_export_round_trip(tmp_path):
 def test_export_report_matches_solve_report_record(tmp_path):
     # the re-export report writes what SolveReport.record gives for the
     # table's field, bit for bit, under its fixed keys and order
-    body = ROUND_CFG.replace("psi.family = constant\npsi.c = 1.0", """psi.family = anisotropic
-psi.base_family = round_target
-psi.r_bar = 1.0
-psi.m = 4.0
-psi.epsilon = 0.2""")
-    cfg = write_cfg(tmp_path / "run.cfg", body)
+    cfg = write_cfg(tmp_path / "run.cfg", ANISO_CFG)
     assert main(["solve", str(cfg)]) == 0
     assert main(["export", str(cfg)]) == 0
     report = read_report(tmp_path / "report.txt")
@@ -137,6 +138,29 @@ psi.epsilon = 0.2""")
         assert float(report[key]) == getattr(expected, name)[-1], key
     assert float(report["rho_min"]) == fieldv.values.min()
     assert float(report["kappa_max"]) > 1.0
+
+
+def test_solve_writes_the_converged_geometry_without_assembling_again(tmp_path, monkeypatch):
+    # the continuation's report carries its last stage's geometry, so a
+    # converged solve assembles nothing more for its artifacts, and the node
+    # table is byte for byte the one the field's own geometry writes
+    from starcurv import cli
+    calls = []
+    real_assemble = cli.assemble
+
+    def assemble_spy(*args):
+        calls.append(args)
+        return real_assemble(*args)
+
+    monkeypatch.setattr(cli, "assemble", assemble_spy)
+    cfg = write_cfg(tmp_path / "run.cfg", ANISO_CFG)
+    assert main(["solve", str(cfg)]) == 0
+    assert calls == []
+    parsed = parse_config(cfg)
+    fieldv = field_from_node_table(tmp_path / "nodes.csv", parsed.grid)
+    state, res, _ = _residual_of(assemble(parsed.model, fieldv), parsed.psi, 2)
+    write_node_table(tmp_path / "ref.csv", state, res)
+    assert (tmp_path / "nodes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_export_without_solution_fails(tmp_path):

@@ -347,9 +347,9 @@ def test_singular_jacobian_raises_no_convergence(monkeypatch):
     J = sp.identity(2048, format="lil")
     J[7, 7] = 0.0
     J = J.tocsr()
-    with pytest.raises(NoConvergence, match="singular Jacobian"):
-        solver._linear_solve(J, np.ones(2048))
     g = build_grid(32, 64)
+    with pytest.raises(NoConvergence, match="singular Jacobian"):
+        solver._linear_solve(J, np.ones(2048), g)
     m = spaceform(0)
     monkeypatch.setattr(solver, "jacobian", lambda *args: J)
     with pytest.raises(NoConvergence, match="singular Jacobian") as info:
@@ -640,8 +640,9 @@ def test_phi_modes_det_sign_matches_dense_slogdet_at_damped_solutions(grid16):
     # K = +1, epsilon = 0.24: Newton damps a step from the predicted seed and
     # lands on the start's branch (+1), and from the start itself it lands
     # on the second solution (-1).  Both converge by refinement against
-    # phi-averaged modes with no LU, and the index the modes give is the
-    # sign of the dense determinant of J at the solution
+    # phi-averaged modes with no LU, and the index the modes give (the
+    # report's branch_index) is the sign of the dense determinant of J at
+    # the solution
     m = spaceform(1)
     base = builtin(m, "round_target", r_bar=0.8, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
@@ -651,21 +652,20 @@ def test_phi_modes_det_sign_matches_dense_slogdet_at_damped_solutions(grid16):
     predicted = ScalarField(grid16, start.values
                             - j0_modes.solve(residual(m, start, psi1, 2).values))
     for seed, index in ((predicted, 1), (start, -1)):
-        factor = solver.Factor(grid16)
-        fieldv, report = newton_solve(m, seed, psi1, 2, TIGHT, factor=factor)
-        assert report.factorizations == 0 and factor.lu is None
-        assert report.branch_index == factor.modes.det_sign() == index
+        fieldv, report = newton_solve(m, seed, psi1, 2, TIGHT)
+        assert report.factorizations == 0
+        assert report.branch_index == index
         assert np.linalg.slogdet(jacobian(m, fieldv, psi1, 2).toarray())[0] == index
 
 
 @pytest.mark.parametrize("case", ["no_sweeps", "K+1"])
-def test_continuation_falls_back_to_lu_when_refinement_cannot_contract(case, grid16,
-                                                                        monkeypatch):
+def test_continuation_falls_back_to_lu_when_refinement_cannot_contract(
+        case, grid16, monkeypatch, superlu_reference):
     # a tilted axis makes J depend on phi, so its phi-average is no longer
     # J itself.  With no sweep allowed (K = 0), or on the K = +1 problem,
-    # refinement against the averaged modes gives up, and so does the one
-    # rebuild from the current J: the continuation factors with SuperLU and
-    # reaches the field of a run that factors every Jacobian
+    # refinement against the averaged modes of J gives up: the continuation
+    # factors with SuperLU and reaches the field of a run that factors
+    # every Jacobian
     K, r_bar = {"no_sweeps": (0, 1.0), "K+1": (1, 0.8)}[case]
     if case == "no_sweeps":
         monkeypatch.setattr(solver, "REFINE_MAX_SWEEPS", 0)
@@ -675,13 +675,7 @@ def test_continuation_falls_back_to_lu_when_refinement_cannot_contract(case, gri
     fieldv, report = continuity_solve(m, grid16, psi, 2, TIGHT)
     assert report.converged and report.homotopy_t == [0.0, 1.0]
     assert report.factorizations >= 1
-    real_newton = solver.newton_solve
-
-    def fresh(model, rho0, psi, k, opts=None, factor=None):
-        return real_newton(model, rho0, psi, k, opts)
-
-    monkeypatch.setattr(solver, "newton_solve", fresh)
-    f_fresh, _ = continuity_solve(m, grid16, psi, 2, TIGHT)
+    f_fresh, _ = superlu_reference(continuity_solve, m, grid16, psi, 2, TIGHT)
     assert np.abs(fieldv.values - f_fresh.values).max() < 1e-10
 
 
@@ -841,7 +835,7 @@ def test_continuity_failed_stage_is_not_repeated(grid16, monkeypatch):
     assert report.homotopy_t == [0.0, 0.5, 1.0]
 
 
-def test_linear_solve_residual_64x128():
+def test_linear_solve_residual_64x128(superlu_reference):
     # the minimum-degree ordering keeps the direct solve accurate on the
     # 9-point jet Jacobian of the headline problem.  The right-hand side is
     # random: smooth ones excite the near-null translation modes, where
@@ -852,7 +846,7 @@ def test_linear_solve_residual_64x128():
                             + 0.02 * np.sin(tt) * np.cos(pp))
     J = jacobian(m, f, _aniso_target(m), 2)
     b = np.random.default_rng(64).standard_normal(g.n_nodes)
-    x = solver._linear_solve(J, b)
+    x, _ = superlu_reference(solver._linear_solve, J, b, g)
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
 
 
@@ -865,102 +859,87 @@ def _stage_jacobian(m, g, t, amp):
     return jacobian(m, f, start.blend(_aniso_target(m), t), 2)
 
 
+def _lu(A):
+    return solver.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
 def test_linear_solve_reuses_neighbouring_lu(grid16):
-    # the LU of the t = 0 Jacobian solves the t = 0.1 system by refinement
-    # to 1e-8 |b| without a new factorization
+    # refined against the LU of the t = 0 Jacobian, the t = 0.1 system
+    # reaches 1e-8 |b| within the sweep budget
     m = spaceform(0)
     J0 = _stage_jacobian(m, grid16, 0.0, 0.0)
     J1 = _stage_jacobian(m, grid16, 0.1, 0.01)
-    factor = solver.Factor()
-    factor.lu = stale = solver.splu(J0.tocsc(), permc_spec="MMD_AT_PLUS_A")
     b = np.random.default_rng(16).standard_normal(grid16.n_nodes)
-    report = solver.SolveReport()
-    x = solver._linear_solve(J1, b, factor, report)
+    x, sweeps = solver._refine(_lu(J0), J1, b)
     assert np.abs(J1 @ x - b).max() <= 1e-8 * np.abs(b).max()
-    assert report.factorizations == 0
-    assert 0 < report.refine_sweeps <= solver.REFINE_MAX_SWEEPS
-    assert factor.lu is stale
+    assert 0 < sweeps <= solver.REFINE_MAX_SWEEPS
 
 
-def test_linear_solve_refactors_once_when_refinement_diverges(grid16):
+def test_linear_solve_refactors_once_when_refinement_diverges(grid16, superlu_reference):
     # against the LU of -J the first solve leaves twice the residual it
-    # started from: the stale LU is dropped before any sweep and replaced
-    # by one fresh factorization, as accurate as a fresh solve
+    # started from: refinement gives up before any sweep, and the splu
+    # branch solves the system with one factorization
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
-    factor = solver.Factor()
-    factor.lu = stale = solver.splu((-J).tocsc(), permc_spec="MMD_AT_PLUS_A")
     b = np.random.default_rng(32).standard_normal(grid16.n_nodes)
+    x, sweeps = solver._refine(_lu(-J), J, b)
+    assert x is None and sweeps == 0
     report = solver.SolveReport()
-    x = solver._linear_solve(J, b, factor, report)
+    x, _ = superlu_reference(solver._linear_solve, J, b, grid16, report)
     assert report.factorizations == 1
     assert report.refine_sweeps == 0
-    assert factor.lu is not None and factor.lu is not stale
-    assert np.array_equal(x, solver._linear_solve(J, b))
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
 
 
-def test_linear_solve_drops_a_slowly_contracting_lu(grid16):
+def test_linear_solve_drops_a_slowly_contracting_lu(grid16, superlu_reference):
     # against the LU of J / 0.6 each sweep keeps 0.4 of the residual, so
-    # 1e-8 |b| is about 20 sweeps away: more than REFINE_MAX_SWEEPS, and the
-    # LU is dropped at once instead of after a budget of sweeps
+    # 1e-8 |b| is about 20 sweeps away: more than REFINE_MAX_SWEEPS, and
+    # refinement gives up at once instead of after a budget of sweeps
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
-    factor = solver.Factor()
-    factor.lu = stale = solver.splu((J / 0.6).tocsc(), permc_spec="MMD_AT_PLUS_A")
     b = np.random.default_rng(40).standard_normal(grid16.n_nodes)
+    x, sweeps = solver._refine(_lu(J / 0.6), J, b)
+    assert x is None and sweeps <= 1
     report = solver.SolveReport()
-    x = solver._linear_solve(J, b, factor, report)
+    x, _ = superlu_reference(solver._linear_solve, J, b, grid16, report)
     assert report.factorizations == 1
-    assert report.refine_sweeps <= 1
-    assert factor.lu is not stale
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_linear_solve_keeps_a_fast_contracting_lu(grid16):
     # against the LU of J / 0.95 each sweep keeps 0.05 of the residual:
-    # the goal is about 6 sweeps away and no factorization happens
+    # the goal is about 6 sweeps away, and refinement reaches it
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
-    factor = solver.Factor()
-    factor.lu = stale = solver.splu((J / 0.95).tocsc(), permc_spec="MMD_AT_PLUS_A")
     b = np.random.default_rng(41).standard_normal(grid16.n_nodes)
-    report = solver.SolveReport()
-    x = solver._linear_solve(J, b, factor, report)
-    assert report.factorizations == 0
-    assert 0 < report.refine_sweeps <= solver.REFINE_MAX_SWEEPS
-    assert factor.lu is stale
+    x, sweeps = solver._refine(_lu(J / 0.95), J, b)
+    assert 0 < sweeps <= solver.REFINE_MAX_SWEEPS
     assert np.abs(J @ x - b).max() <= solver.REFINE_TOL * np.abs(b).max()
 
 
 def test_singular_jacobian_with_stale_lu_raises_no_convergence():
-    # a healthy stale LU cannot hide a singular Jacobian: refinement stalls
-    # on the zero row, and the fresh factorization fails
+    # a healthy LU of a nearby matrix cannot hide a singular Jacobian:
+    # refinement against it stalls on the zero row, and the factorization
+    # of J itself fails
     J = sp.identity(2048, format="lil")
     J[7, 7] = 0.0
     J = J.tocsr()
-    factor = solver.Factor()
-    factor.lu = solver.splu(sp.identity(2048, format="csc"), permc_spec="MMD_AT_PLUS_A")
+    x, _ = solver._refine(_lu(sp.identity(2048)), J, np.ones(2048))
+    assert x is None
     with pytest.raises(NoConvergence, match="singular Jacobian"):
-        solver._linear_solve(J, np.ones(2048), factor)
-    assert factor.lu is None
+        solver._linear_solve(J, np.ones(2048), build_grid(32, 64))
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
-def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16, monkeypatch):
-    # one LU shared by the whole continuation gives the field and the
-    # Newton iterations of a run that factors every Jacobian afresh
+def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16,
+                                                          superlu_reference):
+    # refinement against the phi-averaged modes of each Jacobian gives the
+    # field and the Newton iterations of a run that factors every Jacobian
     m = spaceform(K)
     base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
     f_reuse, rep_reuse = continuity_solve(m, grid16, psi, 2, TIGHT)
-    real_newton = solver.newton_solve
-
-    def fresh(model, rho0, psi, k, opts=None, factor=None):
-        return real_newton(model, rho0, psi, k, opts)
-
-    monkeypatch.setattr(solver, "newton_solve", fresh)
-    f_fresh, rep_fresh = continuity_solve(m, grid16, psi, 2, TIGHT)
+    f_fresh, rep_fresh = superlu_reference(continuity_solve, m, grid16, psi, 2, TIGHT)
     assert rep_reuse.converged and rep_fresh.converged
     assert np.abs(f_reuse.values - f_fresh.values).max() < 1e-10
     assert rep_reuse.iterations == rep_fresh.iterations
@@ -992,16 +971,40 @@ def test_continuation_assembles_only_the_iterates_newton_evaluates(grid16, monke
 
 
 def test_continuation_reports_factorizations_and_sweeps(grid16):
-    # the headline's Newton systems refine against phi-averaged modes:
-    # sweeps, and no LU
+    # the headline's axis is e_z, so each J commutes with phi-shifts and
+    # the modes of J itself solve its system: no sweep, and no LU
     m = spaceform(0)
     _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
     assert report.factorizations == 0
-    assert report.refine_sweeps > 0
+    assert report.refine_sweeps == 0
     summary = report.summary()
     assert summary["factorizations"] == report.factorizations
     assert summary["refine_sweeps"] == report.refine_sweeps
     assert summary["branch_rejections"] == 0
+
+
+def test_lone_newton_solve_factors_no_lu(grid16):
+    # a Newton solve outside a continuation takes the same path: each
+    # system refines against the modes of its own J, which on the e_z
+    # headline solve it exactly, so no Jacobian is factored
+    m = spaceform(0)
+    _, report = newton_solve(m, constant_field(grid16, 1.0), _aniso_target(m), 2, TIGHT)
+    assert report.converged and report.iterations > 0
+    assert report.factorizations == 0
+    assert report.refine_sweeps == 0
+
+
+def test_tilted_continuation_refines_without_lu(grid16):
+    # a tilted axis makes J depend on phi, so its phi-averaged modes only
+    # approximate it: the K = 0 continuation still reaches the solution by
+    # refinement sweeps against them, with no LU
+    m = spaceform(0)
+    base = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=TILTED_AXIS)
+    _, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert report.converged
+    assert report.factorizations == 0
+    assert report.refine_sweeps > 0
 
 
 def _manufactured(m, g, r_bar):
