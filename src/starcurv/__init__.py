@@ -2,6 +2,16 @@
 radial graphs over the sphere, in the three constant-curvature ambient
 spaces."""
 
+import os
+
+# Every solver operation is elementwise, an FFT or a tiny 3-vector product,
+# so none uses a BLAS thread.  OpenBLAS starts a worker per extra core when
+# numpy loads it, and the worker busy-waits after it starts (60-90 ms of CPU
+# on a 2-vCPU machine), taking a core from a short solve that begins then;
+# a single-threaded BLAS starts none.  Set before numpy is imported, and
+# only when the caller has not chosen.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import ConfigError, RunConfig, parse_config
 from .geometry import (GeometryError, GeometryState, assemble,
                        codazzi_residual, hessian_identity_residual,

@@ -8,8 +8,10 @@ flip for tensor components carrying an odd number of theta indices.
 Every finite difference comes from one table of 1-D centered stencils
 (STENCILS, order 2 for the solver and order 4 for the geometry
 diagnostics) and that one ghost-row map (pad_poles): `derivative` applies
-them to arrays, and jet_stencils gives the order-2 jet as the sparse
-matrices the solver's Jacobian combines.
+them to arrays, and jet_weights gives the order-2 jet on the 9-point
+footprint of StencilOperator, the operator the solver's Jacobian is.
+Its matvec is nine shifted slices of the padded field; scipy.sparse is
+imported only by its tocsc(), for the solver's LU fallback.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 
 class GridError(ValueError):
@@ -237,52 +238,71 @@ def covariant_jet(field: ScalarField, order: int = 2) -> CovariantJet:
 
 
 # ---------------------------------------------------------------------------
-# the order-2 stencils as sparse matrices
+# 9-point stencil operators
+
+# The 3x3 footprint of a 9-point operator: (theta, phi) offsets in
+# row-major order, the order in which its matvec adds its terms up.
+OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
 
 @dataclass(frozen=True, eq=False)
-class JetStencils:
-    """The order-2 jet stencils as one shared 9-point CSR pattern.
+class StencilOperator:
+    """A linear map of grid fields coupling each node to its 3x3 footprint.
 
-    Row (i, j) holds the 3x3 footprint of node (i, j) in (theta, phi)
-    offset order, with the ghost rows beyond a pole mapped back to interior
-    columns by pad_poles.  weights[c], shape (n_nodes, 9), holds the
-    row-wise data of the matrix D_c with D_c @ f.ravel() == the raw
-    partial c of a scalar f (JET_COMPONENTS order), so a linear
-    combination of the D_c is a combination of their weight arrays on the
-    same pattern.  Raw partials have the same stencil at every node, so
-    all rows of weights[c] are one 9-vector, most of it zeros.
+    data[i, j, o], shape (n_theta, n_phi, 9), is the weight of the
+    neighbour of node (i, j) at OFFSETS[o]; a neighbour beyond a pole is
+    pad_poles' ghost, the pole row's node half a turn away.  op @ x adds
+    the nine shifted-slice products up in offset order, which is the matvec
+    of the CSR matrix whose row (i, j) holds data[i, j] in that order,
+    bitwise.  x is a field of the grid's shape or flat over its nodes, and
+    so is op @ x.  abs(op) has the weights |data|.  tocsc() is the matrix
+    for a sparse LU; it imports scipy.sparse on first call, the only place
+    the discretization does.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: tuple
+    grid: SphereGrid
+    data: np.ndarray
 
-    def matrix(self, c: int) -> scipy.sparse.csr_matrix:
-        n = len(self.indptr) - 1
-        return scipy.sparse.csr_matrix((self.weights[c].ravel(), self.indices, self.indptr),
-                                       shape=(n, n))
+    def _taps(self, x) -> list:
+        """The neighbour at each of OFFSETS of every node of field x: nine
+        slices of x padded by pad_poles and wrapped one column in phi."""
+        nt, n_p = self.grid.shape
+        p = pad_poles(self.grid, np.reshape(x, self.grid.shape))
+        p = np.concatenate([p[:, -1:], p, p[:, :1]], axis=1)
+        return [p[1 + di:1 + di + nt, 1 + dj:1 + dj + n_p] for di, dj in OFFSETS]
+
+    def __matmul__(self, x):
+        taps = self._taps(x)
+        y = self.data[..., 0] * taps[0]
+        for o in range(1, len(OFFSETS)):
+            y += self.data[..., o] * taps[o]
+        return y.reshape(np.shape(x))
+
+    def __abs__(self):
+        return StencilOperator(self.grid, np.abs(self.data))
+
+    def tocsc(self):
+        import scipy.sparse
+        n = self.grid.n_nodes
+        cols = np.stack(self._taps(np.arange(n, dtype=float)), axis=-1).astype(np.intp)
+        return scipy.sparse.csr_matrix((self.data.ravel(), cols.ravel(),
+                                        np.arange(0, 9 * n + 1, 9)), shape=(n, n)).tocsc()
 
 
-def jet_stencils(grid: SphereGrid) -> JetStencils:
-    """The grid's JetStencils, built on first use and cached on the grid."""
-    cached = getattr(grid, "_stencils", None)
-    if cached is not None:
-        return cached
-    nt, n = grid.n_theta, grid.n_nodes
-    # node numbers with pad_poles' ghost rows: offset (di, dj) of every node
-    ids = pad_poles(grid, np.arange(n).reshape(grid.shape)).astype(np.intp)
-    cols = np.stack([np.roll(ids, -dj, axis=1)[1 + di:1 + di + nt].ravel()
-                     for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
+def jet_weights(grid: SphereGrid) -> np.ndarray:
+    """The order-2 jet stencils on the 9-point footprint, shape (6, 9).
+
+    weights[c, o] is the weight of the neighbour at OFFSETS[o] in the raw
+    partial c (JET_COMPONENTS order); a raw partial has the same stencil at
+    every node, so StencilOperator(grid, broadcast weights[c]) @ f is
+    derivative's partial c of f, ghost rows included.
+    """
     weights = []
     for n_t, n_p in JET_DERIVATIVES:
         (num_t, den_t), (num_p, den_p) = STENCILS[2][n_t], STENCILS[2][n_p]
-        w = np.outer(num_t, num_p).ravel() / ((den_t * grid.dtheta**n_t)
-                                              * (den_p * grid.dphi**n_p))
-        weights.append(np.broadcast_to(w, (n, 9)))
-    cached = JetStencils(indptr=np.arange(0, 9 * n + 1, 9), indices=cols.ravel(),
-                         weights=tuple(weights))
-    object.__setattr__(grid, "_stencils", cached)
-    return cached
+        weights.append(np.outer(num_t, num_p).ravel() / ((den_t * grid.dtheta**n_t)
+                                                        * (den_p * grid.dphi**n_p)))
+    return np.array(weights)
 
 
 def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int) -> float:

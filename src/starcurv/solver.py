@@ -5,8 +5,9 @@ minus the prescription evaluated at (z, rho, nu); Newton, the Jacobian and
 the exported node tables all use this one residual form.  It reads rho
 only through the node's 2-jet (value, first and second partials), so the
 Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
-six raw jet components c, with D_c the grid's fixed stencil matrices
-(cross-pole ghosting folded in).  dF/dc is closed form for sigma_k, the
+six raw jet components c, with D_c the grid's fixed 9-point jet stencils
+(cross-pole ghosting folded in), so J is a 9-point StencilOperator, a
+numpy slice matvec.  dF/dc is closed form for sigma_k, the
 linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
 through the jet's entries of g and h, and the prescription's own partials
 in rho and nu for the three components they read.  Each Newton system is
@@ -17,10 +18,10 @@ theta per mode, with no LU.  When J commutes with phi-shifts (an axis
 along e_z) the modes are J itself, and their first solve meets the goal
 with no sweep.  Only when refinement stops contracting is J factored by
 SuperLU with the minimum-degree ordering of J^T + J (MMD_AT_PLUS_A);
-nothing is held from one system to the next, and scipy.sparse.linalg is
-imported only for that fallback.  Refinement stops at Oettli and Prager's
-componentwise backward error floor when REFINE_TOL |b| asks for more
-than float64 can deliver.  The continuation tries the whole path t = 0 ->
+nothing is held from one system to the next, and scipy (J.tocsc() and
+scipy.sparse.linalg) is imported only for that fallback.  Refinement
+stops at Oettli and Prager's componentwise backward error floor when
+REFINE_TOL |b| asks for more than float64 can deliver.  The continuation tries the whole path t = 0 ->
 1 in one step first, halves a step that fails and doubles the next one
 after a step that succeeds.  It is an Euler-Newton predictor-corrector:
 each attempt of the first stage after t = 0 seeds Newton with the
@@ -53,10 +54,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.fft import irfft, rfft
 
 from .geometry import GeometryError, GeometryState, assemble
-from .grid import ScalarField, SphereGrid, constant_field, jet_stencils
+from .grid import ScalarField, SphereGrid, StencilOperator, constant_field, jet_weights
 from .prescription import Prescription, builtin
 from .spaceform import DomainError, SpaceFormModel
 from .symfunc import sigma_all
@@ -121,8 +122,11 @@ class SolveReport:
     when refinement against the phi-averaged modes of its J gives up (see
     _linear_solve), and refine_sweeps the refinement sweeps against those
     modes; on a continuation's report, like iterations, both cover the
-    accepted stages only.  branch_rejections counts the stages rejected
-    because the branch index at their solution differed from the start's.
+    accepted stages only.  rejected_iterations and rejected_factorizations
+    count the same work of the stage attempts the continuation rejected,
+    failed or off the start's branch.  branch_rejections counts the stages
+    rejected because the branch index at their solution differed from the
+    start's.
     branch_index is sign det J at the solution of a Newton solve that
     damped a step, 0 when it damped none.  state is the geometry of the
     field a converged solve returned (a continuation's is its last
@@ -133,6 +137,8 @@ class SolveReport:
     iterations: int = 0
     factorizations: int = 0
     refine_sweeps: int = 0
+    rejected_iterations: int = 0
+    rejected_factorizations: int = 0
     branch_rejections: int = 0
     branch_index: int = 0
     message: str = ""
@@ -174,6 +180,11 @@ class SolveReport:
         for name in MONITORS:
             getattr(self, name).extend(getattr(other, name))
 
+    def reject(self, other: "SolveReport"):
+        """Count a rejected stage attempt's Newton steps and LUs."""
+        self.rejected_iterations += other.iterations
+        self.rejected_factorizations += other.factorizations
+
     def last_monitors(self) -> dict:
         """The last entry of each monitor list, skipping empty ones."""
         return {"residual_inf" if name == "residual_trace" else name: getattr(self, name)[-1]
@@ -183,6 +194,8 @@ class SolveReport:
         """Counters, last monitors and homotopy_t_final: the report keys of a solve."""
         return {"converged": self.converged, "iterations": self.iterations,
                 "factorizations": self.factorizations, "refine_sweeps": self.refine_sweeps,
+                "rejected_iterations": self.rejected_iterations,
+                "rejected_factorizations": self.rejected_factorizations,
                 "branch_rejections": self.branch_rejections, **self.last_monitors(),
                 "homotopy_t_final": self.homotopy_t_final}
 
@@ -303,16 +316,17 @@ def _psi_linearized(state: GeometryState, psi: Prescription):
 
 
 def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescription],
-             k: int, state: Optional[GeometryState] = None) -> sp.csr_matrix:
-    """Sparse residual Jacobian J = sum_c diag(dF/dc) @ D_c.
+             k: int, state: Optional[GeometryState] = None) -> StencilOperator:
+    """Residual Jacobian J = sum_c diag(dF/dc) @ D_c, a 9-point StencilOperator.
 
     dF/dc is the derivative of each node's residual in its own raw jet
     component c, closed form at the geometry of the iterate: state, when
     the caller has assembled it already, else assemble's.  sigma_k's part
     is in all six components (_sigma_linearized), psi's in the value, f_t
     and f_p components only (_psi_linearized), since rho and nu read no
-    second derivative.  D_c are the grid's stencil matrices, which share
-    one 9-point pattern, so J is their weights combined row by row.
+    second derivative.  D_c are the grid's jet stencils (jet_weights),
+    which share one 9-point footprint, so J's weights at each node are
+    theirs combined with that node's dF/dc.
     """
     g = fieldv.grid
     if state is None:
@@ -321,14 +335,12 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     dpsi = [] if psi is None else _psi_linearized(state, psi)
     for c, d in enumerate(dpsi):
         dfdc[c] = dfdc[c] - d
-    stencils = jet_stencils(g)
-    data = np.zeros(stencils.weights[0].shape)
-    for c, d in enumerate(dfdc):
-        row = stencils.weights[c][0]
-        for j in np.flatnonzero(row):
-            data[:, j] += row[j] * d.ravel()
-    return sp.csr_matrix((data.ravel(), stencils.indices, stencils.indptr),
-                         shape=(g.n_nodes, g.n_nodes), copy=True)
+    weights = jet_weights(g)
+    planes = np.zeros((weights.shape[1],) + g.shape)     # one offset at a time, contiguous
+    for w, d in zip(weights, dfdc):
+        for o in np.flatnonzero(w):
+            planes[o] += w[o] * d
+    return StencilOperator(g, np.ascontiguousarray(np.moveaxis(planes, 0, -1)))
 
 
 # Refinement stops once |b - Jx|_inf <= max(REFINE_TOL |b|_inf, REFINE_FLOOR
@@ -343,8 +355,8 @@ REFINE_MAX_SWEEPS = 12
 
 def splu(A, **options):
     """scipy.sparse.linalg.splu, imported on first call: only the fallback
-    of _linear_solve factors, so a run that never falls back never loads
-    scipy.sparse.linalg."""
+    of _linear_solve factors, on J.tocsc(), so a run that never falls back
+    loads no scipy module."""
     from scipy.sparse.linalg import splu as superlu
     return superlu(A, **options)
 
@@ -371,21 +383,20 @@ def _lu_det_sign(lu) -> int:
             * _perm_parity(lu.perm_c))
 
 
-def _refine(op, J: sp.csr_matrix, rhs: np.ndarray):
+def _refine(op, J: StencilOperator, rhs: np.ndarray):
     """Iterative refinement of J x = rhs against op, whose solve inverts a
     nearby matrix: the phi-averaged modes of J in _linear_solve.
 
     Returns (x, sweeps); x is None when the refinement gives up.  The goal
-    is max(REFINE_TOL |rhs|, REFINE_FLOOR max(|J| |x|)), with |J| a copy of
-    J's pattern (abs(J) would sort J's indices in place) and x the current
-    iterate.  After sweep j the contraction is theta = |r_j| / |r_{j-1}|,
-    with |r_{-1}| = |rhs|; at that rate the goal is j + log(goal / |r_j|) /
-    log(theta) sweeps away.  It gives up as soon as theta >= 1 (or NaN) or
+    is max(REFINE_TOL |rhs|, REFINE_FLOOR max(|J| |x|)), with |J| = abs(J)
+    and x the current iterate.  After sweep j the contraction is theta =
+    |r_j| / |r_{j-1}|, with |r_{-1}| = |rhs|; at that rate the goal is j +
+    log(goal / |r_j|) / log(theta) sweeps away.  It gives up as soon as theta >= 1 (or NaN) or
     that count exceeds REFINE_MAX_SWEEPS, the contraction test of
     Deuflhard, Newton Methods for Nonlinear Problems (2004), applied to the
     linear iteration.
     """
-    abs_j = sp.csr_matrix((np.abs(J.data), J.indices, J.indptr), shape=J.shape)
+    abs_j = abs(J)
     x = op.solve(rhs)
     r = rhs - J @ x
     last, rnorm = np.abs(rhs).max(), np.abs(r).max()
@@ -405,16 +416,17 @@ def _refine(op, J: sp.csr_matrix, rhs: np.ndarray):
         last, rnorm = rnorm, np.abs(r).max()
 
 
-def _linear_solve(J: sp.csr_matrix, rhs: np.ndarray, grid: SphereGrid,
+def _linear_solve(J: StencilOperator, rhs: np.ndarray,
                   report: Optional[SolveReport] = None):
     """Solve J x = rhs by refinement against the PhiModes of J, else directly.
 
     Returns (x, op), op being what served the system: the modes, or, when
-    refinement against them gives up, a SuperLU factor of J, which solves
-    it directly with one step of iterative refinement.  Neither outlives
-    the call.  report, if given, counts factorizations and sweeps.
+    refinement against them gives up, a SuperLU factor of J.tocsc(),
+    which solves it directly with one step of iterative refinement.
+    Neither outlives the call.  report, if given, counts factorizations
+    and sweeps.
     """
-    modes = PhiModes(J, grid)
+    modes = PhiModes(J)
     x, sweeps = _refine(modes, J, rhs)
     if report is not None:
         report.refine_sweeps += sweeps
@@ -474,7 +486,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             break
         J = jacobian(model, fieldv, psi, k, state)
         try:
-            delta, served = _linear_solve(J, -res.ravel(), fieldv.grid, report)
+            delta, served = _linear_solve(J, -res.ravel(), report)
         except NoConvergence as exc:
             raise NoConvergence(str(exc), field=fieldv, report=report) from None
         delta = delta.reshape(fieldv.grid.shape)
@@ -615,24 +627,28 @@ def _radial_start(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
     raise NoConvergence(msg, report=SolveReport(message=msg))
 
 
-def _phi_bands(J: sp.csr_matrix, grid: SphereGrid) -> np.ndarray:
+def _phi_bands(J: StencilOperator) -> np.ndarray:
     """J's stencil coefficients averaged over phi, per theta-row.
 
     bands[b, i, d] is the mean over j of J[(i, j), (i + b - 1, j + d)], the
     coupling of node (i, j) to theta-row i - 1, i or i + 1 (b = 0, 1, 2)
-    at phi-offset d mod n_phi.  A ghost beyond a pole
-    is a node of the pole row itself, half a turn away, so it lands in
-    b = 1.  For a J that commutes with phi-shifts every j gives the same
-    value, and the mean is J's own C_i,i+b-1(d).
+    at phi-offset d mod n_phi, read from J.data[i, :, o] with OFFSETS[o] =
+    (b - 1, d).  A ghost beyond a pole is a node of the pole row itself,
+    half a turn away, so a pole row's offset (-1, dj) or (1, dj) lands in
+    b = 1 at d = n_phi/2 + dj.  For a J that commutes with phi-shifts every
+    j gives the same value, and the mean is J's own C_i,i+b-1(d).  The sum
+    adds the j up in order (numpy reduces a middle axis one slice at a
+    time), so the bands are bitwise those of J's CSR rows.
     """
-    n_t, n_p = grid.n_theta, grid.n_phi
-    col = J.indices
-    row = np.repeat(np.arange(grid.n_nodes, dtype=col.dtype), np.diff(J.indptr))
-    i = row // n_p
-    # col - row = (i' - i) n_phi + (j' - j), so its residue mod n_phi is d
-    flat = ((col // n_p - i + 1) * n_t + i) * n_p + (col - row) % n_p
-    sums = np.bincount(flat, weights=J.data, minlength=3 * n_t * n_p)
-    return sums.reshape(3, n_t, n_p) / n_p
+    n_t, n_p = J.grid.shape
+    sums = J.data.sum(axis=1).reshape(n_t, 3, 3).transpose(1, 0, 2)   # [b, i, dj + 1]
+    d = np.arange(-1, 2) % n_p
+    bands = np.zeros((3, n_t, n_p))
+    bands[:, :, d] = sums
+    for b, i in ((0, 0), (2, -1)):
+        bands[1, i, (n_p // 2 + d) % n_p] = sums[b, i]
+        bands[b, i, d] = 0.0
+    return bands / n_p
 
 
 class PhiModes:
@@ -654,9 +670,10 @@ class PhiModes:
 
     __slots__ = ("_shape", "_sub", "_piv", "_ratio")
 
-    def __init__(self, J: sp.csr_matrix, grid: SphereGrid):
+    def __init__(self, J: StencilOperator):
+        grid = J.grid
         # sum_d C(d) w^(md) of a real C is the conjugate of numpy's forward FFT
-        sub, diag, sup = np.conj(np.fft.rfft(_phi_bands(J, grid), axis=-1))
+        sub, diag, sup = np.conj(rfft(_phi_bands(J), axis=-1))
         piv = np.empty_like(diag)
         ratio = np.empty_like(sup[:-1])                     # sup_i / piv_i
         piv[0] = diag[0]
@@ -669,13 +686,13 @@ class PhiModes:
         """x with J x = rhs, of rhs's shape: the grid's (n_theta, n_phi) or
         flat over the nodes."""
         sub, piv, ratio = self._sub, self._piv, self._ratio
-        y = np.fft.rfft(np.reshape(rhs, self._shape), axis=-1)
+        y = rfft(np.reshape(rhs, self._shape), axis=-1)
         y[0] /= piv[0]
         for i in range(1, len(y)):
             y[i] = (y[i] - sub[i] * y[i - 1]) / piv[i]
         for i in range(len(y) - 2, -1, -1):
             y[i] -= ratio[i] * y[i + 1]
-        return np.fft.irfft(y, n=self._shape[1], axis=-1).reshape(np.shape(rhs))
+        return irfft(y, n=self._shape[1], axis=-1).reshape(np.shape(rhs))
 
     def det_sign(self) -> int:
         """sign det J = sign det B_0 * sign det B_(n_phi/2), from the Thomas
@@ -705,7 +722,9 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     retry of the same t from the start when the predicted field leaves
     (0, a) or is not admissible (ConeBreach at Newton's seed).  Later
     stages start Newton from the last accepted solution.  Newton corrects;
-    the report's iterations count its steps only, not the predictor.
+    the report's iterations count its steps only, not the predictor, and
+    only in accepted stages: a rejected attempt's steps and LUs go to
+    rejected_iterations and rejected_factorizations.
 
     The first step is FIRST_STEP, the whole path; a failed step is halved
     from the t it tried, and an accepted one doubles the next, without a
@@ -752,7 +771,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
             _, res, _ = _residual_of(start_state, psi_t, k)
             if not np.abs(res).max() <= opts.newton_tol:
                 if modes is None:
-                    modes = PhiModes(jacobian(model, start, psi0, k, start_state), grid)
+                    modes = PhiModes(jacobian(model, start, psi0, k, start_state))
                 values = start.values - modes.solve(res)
                 try:
                     model.check_domain(values)
@@ -765,6 +784,8 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         try:
             solved, sub = newton_solve(model, seed, psi_t, k, opts)
         except NoConvergence as exc:
+            if exc.report is not None:
+                report.reject(exc.report)
             if (seed is not fieldv and isinstance(exc, ConeBreach)
                     and exc.report.cone_margin[0] < CONE_MARGIN):
                 plain = True
@@ -773,6 +794,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         else:
             if sub.branch_index and sub.branch_index != modes.det_sign():
                 report.branch_rejections += 1
+                report.reject(sub)
                 failure = (f"branch index {sub.branch_index:+d} at the solution for "
                            f"t = {t_next!r}, the start's is {modes.det_sign():+d}")
         if failure is not None:

@@ -569,17 +569,49 @@ def test_writers_match_per_value_formatting(tmp_path):
     assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, f.values)
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_cli_import_leaves_out_scipy():
     # startup time: the radial start needs no scipy.optimize, the branch
-    # index takes its permutation parity from numpy, not scipy.sparse.csgraph,
-    # and scipy.sparse.linalg is imported only when a solve falls back to splu
-    code = ("import sys, starcurv.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')"
-            " if m in sys.modules])")
+    # index takes its permutation parity from numpy, the Jacobian is a
+    # numpy stencil operator, and scipy.sparse is imported only when a
+    # solve falls back to splu
+    code = f"import sys, starcurv.cli; print({SCIPY_MODULES})"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_defaults_blas_to_one_thread_unless_set():
+    # an idle OpenBLAS worker busy-waits after numpy loads it; the solver
+    # uses no BLAS thread, so importing starcurv first asks for none, and a
+    # caller's own setting stands
+    code = "import os, starcurv; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for preset, expected in ((None, "1"), ("3", "3")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONPATH=SRC),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+
+def test_default_solve_leaves_out_scipy(tmp_path):
+    # the 16x32 headline problem (axis e_z) is solved by the Jacobian's own
+    # phi-modes with no LU, so a whole solve still loads no scipy module
+    cfg = write_cfg(tmp_path / "run.cfg", ANISO_CFG)
+    code = (f"import sys; from starcurv.cli import main; rc = main(['solve', {str(cfg)!r}]); "
+            f"print(rc, {SCIPY_MODULES})")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    report = read_report(tmp_path / "report.txt")
+    assert report["converged"] == "true"
+    assert report["factorizations"] == "0"
 
 
 def test_solve_exit_3_writes_last_good_state(tmp_path, monkeypatch, capsys):
@@ -607,6 +639,12 @@ psi.axis_z = 1.0
     report = read_report(tmp_path / "report.txt")
     assert report["converged"] == "false"
     assert float(report["homotopy_t_final"]) == 0.015625
+    # the accepted stage's one step counts as iterations; the one step of
+    # each of the 8 failed attempts (t = 1 .. 1/32, then 3/64 and 1/32
+    # after the stage) counts as rejected work
+    assert report["iterations"] == "1"
+    assert report["rejected_iterations"] == "8"
+    assert report["rejected_factorizations"] == "0"
     # artifacts exist for the last good iterate
     cols = read_node_table(tmp_path / "nodes.csv")
     assert np.all(np.isfinite(cols["rho"]))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from starcurv.grid import (JET_COMPONENTS, JET_DERIVATIVES, CovariantJet, GridError,
-                           ScalarField, build_grid, constant_field, covariant_jet,
-                           derivative, field_from_function, jet_stencils,
-                           refinement_order)
+from starcurv.grid import (JET_COMPONENTS, JET_DERIVATIVES, OFFSETS, CovariantJet,
+                           GridError, ScalarField, StencilOperator, build_grid,
+                           constant_field, covariant_jet, derivative, field_from_function,
+                           jet_weights, pad_poles, refinement_order)
 
 
 def test_build_grid_node_layout():
@@ -157,11 +158,45 @@ def test_jet_stencil_matrices_match_stencils(nt, nphi):
     g = build_grid(nt, nphi)
     v = np.random.default_rng(nt * 1000 + nphi).standard_normal(g.shape)
     expected = [derivative(g, v, n_t, n_p) for n_t, n_p in JET_DERIVATIVES]
-    stencils = jet_stencils(g)
-    assert jet_stencils(g) is stencils
+    weights = jet_weights(g)
     for c, ref in enumerate(expected):
-        got = (stencils.matrix(c) @ v.ravel()).reshape(g.shape)
+        op = StencilOperator(g, np.broadcast_to(weights[c], g.shape + (9,)))
+        got = (op @ v.ravel()).reshape(g.shape)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), JET_COMPONENTS[c]
+
+
+def _offset_order_csr(op):
+    # the CSR matrix whose row (i, j) holds op.data[i, j] at the columns of
+    # its OFFSETS neighbours, in that order: ghost node numbers from pad_poles
+    g = op.grid
+    ids = pad_poles(g, np.arange(g.n_nodes).reshape(g.shape)).astype(np.intp)
+    cols = np.stack([np.roll(ids, -dj, axis=1)[1 + di:1 + di + g.n_theta]
+                     for di, dj in OFFSETS], axis=-1)
+    return sp.csr_matrix((op.data.ravel(), cols.ravel(), np.arange(0, 9 * g.n_nodes + 1, 9)),
+                         shape=(g.n_nodes, g.n_nodes))
+
+
+@pytest.mark.parametrize("nt,nphi", [(8, 8), (9, 10), (11, 16), (16, 32)])
+def test_stencil_operator_matvec_matches_csr_bitwise(nt, nphi):
+    # the slice matvec adds each row up in offset order, as the CSR matvec of
+    # the same rows does, so the two agree bitwise, pole rows and the phi
+    # seam included; tocsc() is that matrix, whose CSC matvec adds each row
+    # up in column order instead, equal to roundoff
+    g = build_grid(nt, nphi)
+    rng = np.random.default_rng(nt * 1000 + nphi)
+    op = StencilOperator(g, rng.standard_normal(g.shape + (9,)))
+    ref = _offset_order_csr(op)
+    assert (op.tocsc() != ref).nnz == 0
+    assert op.tocsc().nnz == 9 * g.n_nodes
+    for _ in range(3):
+        x = rng.standard_normal(g.n_nodes)
+        y = op @ x
+        assert y.shape == x.shape
+        assert np.array_equal(y, ref @ x)
+        assert np.array_equal((op @ x.reshape(g.shape)).ravel(), y)
+        assert np.array_equal(abs(op) @ np.abs(x), _offset_order_csr(abs(op)) @ np.abs(x))
+        bound = 4.0 * np.finfo(float).eps * (abs(op) @ np.abs(x))
+        assert np.all(np.abs(op.tocsc() @ x - y) <= bound)
 
 
 def test_fourth_order_theta_derivative_odd_parity_through_poles():

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from starcurv import solver
 from starcurv.config import parse_config
 from starcurv.geometry import pointwise_geometry
-from starcurv.grid import (ScalarField, build_grid, constant_field, field_from_function,
-                           jet_from_partials, jet_stencils, raw_jet)
+from starcurv.grid import (OFFSETS, ScalarField, StencilOperator, build_grid, constant_field,
+                           field_from_function, jet_from_partials, jet_weights, pad_poles,
+                           raw_jet)
 from starcurv.prescription import Prescription, builtin
 from starcurv.solver import (ConeBreach, NoConvergence, SolverOptions,
                              continuity_solve, jacobian, newton_solve,
@@ -84,17 +85,15 @@ def _fd_jacobian(m, fieldv, psi, k, fd_step=1e-7):
     full geometry and psi evaluations per component."""
     g = fieldv.grid
     parts = raw_jet(fieldv)
-    stencils = jet_stencils(g)
-    data = np.zeros(stencils.weights[0].shape)
+    data = np.zeros(g.shape + (9,))
     for c, base in enumerate(parts):
         step = fd_step * (1.0 + np.abs(base))
         sides = []
         for moved in (base + step, base - step):
             jet = jet_from_partials(g, *parts[:c], moved, *parts[c + 1:])
             sides.append(solver._residual_of(pointwise_geometry(m, g, jet), psi, k)[1])
-        data += ((sides[0] - sides[1]) / (2.0 * step)).reshape(-1, 1) * stencils.weights[c]
-    return sp.csr_matrix((data.ravel(), stencils.indices, stencils.indptr),
-                         shape=(g.n_nodes, g.n_nodes))
+        data += ((sides[0] - sides[1]) / (2.0 * step))[..., None] * jet_weights(g)[c]
+    return StencilOperator(g, data)
 
 
 def _tilted_blend(m, k, r_bar):
@@ -119,7 +118,8 @@ def test_closed_form_jacobian_matches_finite_differences(nt, nphi, K, r_bar, k):
     psi = _tilted_blend(m, k, r_bar)
     J = jacobian(m, f, psi, k)
     ref = _fd_jacobian(m, f, psi, k)
-    assert abs(J - ref).max() <= 1e-8 * abs(ref).max()
+    # the nine columns of a row are distinct nodes, so the weights are the entries
+    assert np.abs(J.data - ref.data).max() <= 1e-8 * np.abs(ref.data).max()
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.6)])
@@ -134,8 +134,8 @@ def test_jacobian_rotation_equivariance_bitwise(K, r_bar, grid16):
     shift = 5
     rolled = ScalarField(grid16, np.roll(f.values, shift, axis=1))
     perm = np.roll(np.arange(grid16.n_nodes).reshape(grid16.shape), shift, axis=1).ravel()
-    J0 = jacobian(m, f, psi, 2).toarray()
-    J1 = jacobian(m, rolled, psi, 2).toarray()
+    J0 = jacobian(m, f, psi, 2).tocsc().toarray()
+    J1 = jacobian(m, rolled, psi, 2).tocsc().toarray()
     assert np.array_equal(J1, J0[np.ix_(perm, perm)])
 
 
@@ -145,13 +145,13 @@ def test_jacobian_ignores_constant_psi_level(grid16):
     f = field_from_function(grid16, lambda tt, pp: 1.0 + 0.05 * np.cos(tt))
     J1 = jacobian(m, f, builtin(m, "constant", c=1.0), 2)
     J2 = jacobian(m, f, builtin(m, "constant", c=2.0), 2)
-    assert abs(J1 - J2).max() < 1e-8
+    assert np.abs(J1.data - J2.data).max() < 1e-8
 
 
 def test_jacobian_sparsity(grid16):
     m = spaceform(0)
     J = jacobian(m, constant_field(grid16, 1.0), builtin(m, "constant", c=1.0), 2)
-    per_row = np.diff(J.tocsr().indptr)
+    per_row = np.diff(J.tocsc().tocsr().indptr)
     assert per_row.max() <= 9
 
 
@@ -327,8 +327,7 @@ def test_jacobian_and_continuation_repeat_runs_bitwise(grid16, monkeypatch):
     f = field_from_function(grid16, lambda tt, pp: 1.0 + 0.05 * np.cos(tt))
     psi = builtin(m, "constant", c=1.0)
     J1, J2 = jacobian(m, f, psi, 2), jacobian(m, f, psi, 2)
-    assert np.array_equal(J1.indptr, J2.indptr)
-    assert np.array_equal(J1.indices, J2.indices)
+    assert J1.grid is J2.grid
     assert np.array_equal(J1.data, J2.data)
     base = builtin(m, "round_target", r_bar=1.0, m=4.0)
     target = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
@@ -341,15 +340,21 @@ def test_jacobian_and_continuation_repeat_runs_bitwise(grid16, monkeypatch):
         assert rep1.homotopy_t == rep2.homotopy_t
 
 
+def _identity_with_zero_at_node_7(g):
+    # the identity as a stencil operator, its diagonal entry at node 7 zeroed
+    data = np.zeros(g.shape + (9,))
+    data[..., 4] = 1.0
+    data[0, 7, 4] = 0.0
+    return StencilOperator(g, data)
+
+
 def test_singular_jacobian_raises_no_convergence(monkeypatch):
     # an exactly singular Jacobian on a 32x64 grid (2048 nodes) must end in
     # NoConvergence carrying the last good state, never in a numpy error
-    J = sp.identity(2048, format="lil")
-    J[7, 7] = 0.0
-    J = J.tocsr()
     g = build_grid(32, 64)
+    J = _identity_with_zero_at_node_7(g)
     with pytest.raises(NoConvergence, match="singular Jacobian"):
-        solver._linear_solve(J, np.ones(2048), g)
+        solver._linear_solve(J, np.ones(2048))
     m = spaceform(0)
     monkeypatch.setattr(solver, "jacobian", lambda *args: J)
     with pytest.raises(NoConvergence, match="singular Jacobian") as info:
@@ -500,6 +505,12 @@ def test_continuity_rejects_a_damped_stage_on_the_second_branch(grid16, monkeypa
     assert rep_one.homotopy_t == [0.0, 0.5, 1.0]
     assert type(rep_one.summary()["branch_rejections"]) is int
     assert rep_one.summary()["branch_rejections"] == 1
+    # the rejected full step is the Newton solve that reached `wrong`: its
+    # steps count as rejected work, not in iterations.  With the modes' solve
+    # zeroed, refinement gives up on every system, so each step is one LU
+    assert rep_pred.summary()["rejected_iterations"] == 0
+    assert rep_one.summary()["rejected_iterations"] == rep_wrong.iterations > 0
+    assert rep_one.rejected_factorizations == rep_wrong.iterations
     assert np.abs(f_one.values - f_ten.values).max() < 1e-10
     assert np.abs(f_pred.values - f_ten.values).max() < 1e-10
     assert np.abs(wrong.values - f_ten.values).max() > 0.1
@@ -583,11 +594,11 @@ def test_start_index_matches_dense_slogdet(nt, nphi, K, r_bar):
     indices = []
     for fieldv, radial in cases:
         J = jacobian(m, fieldv, radial, 2)
-        indices.append(solver.PhiModes(J, g).det_sign())
+        indices.append(solver.PhiModes(J).det_sign())
         if g.n_nodes > 1024:
             ref = solver._lu_det_sign(solver.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A"))
         else:
-            ref = np.linalg.slogdet(J.toarray())[0]
+            ref = np.linalg.slogdet(J.tocsc().toarray())[0]
         assert indices[-1] == ref
     assert indices[0] == 1
     assert set(indices) == {-1, 1}
@@ -611,7 +622,7 @@ def test_phi_modes_solve_matches_splu(K, r_bar, axis, nt):
     J0 = jacobian(m, start, psi0, 2)
     for t in (0.25, 1.0):
         b = residual(m, start, psi0.blend(psi, t), 2).values
-        x = solver.PhiModes(J0, g).solve(b)
+        x = solver.PhiModes(J0).solve(b)
         assert x.shape == g.shape
         assert np.abs(J0 @ x.ravel() - b.ravel()).max() <= 1e-9 * np.abs(b).max()
         ref = solver.splu(J0.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b.ravel())
@@ -628,12 +639,57 @@ def test_phi_bands_of_j0_match_its_row_0(K, r_bar):
     start, psi0 = _start(m, g, builtin(m, "anisotropic", base=base, epsilon=0.2,
                                        axis=TILTED_AXIS))
     J0 = jacobian(m, start, psi0, 2)
-    rows = J0[::g.n_phi].tocoo()
+    rows = J0.tocsc()[::g.n_phi].tocoo()
     col_t, col_p = np.divmod(rows.col, g.n_phi)
     ref = np.zeros((3,) + g.shape)
     np.add.at(ref, (col_t - rows.row + 1, rows.row, col_p), rows.data)
-    bands = solver._phi_bands(J0, g)
+    bands = solver._phi_bands(J0)
     assert np.abs(bands - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _bincount_phi_bands(J):
+    # the phi-averaged bands as a bincount over the entries of J's CSR rows
+    # in offset order, each entry's bin read off its column node number
+    g = J.grid
+    n_t, n_p = g.shape
+    ids = pad_poles(g, np.arange(g.n_nodes).reshape(g.shape)).astype(np.intp)
+    col = np.stack([np.roll(ids, -dj, axis=1)[1 + di:1 + di + n_t] for di, dj in OFFSETS],
+                   axis=-1).ravel()
+    row = np.repeat(np.arange(g.n_nodes), len(OFFSETS))
+    i = row // n_p
+    flat = ((col // n_p - i + 1) * n_t + i) * n_p + (col - row) % n_p
+    sums = np.bincount(flat, weights=J.data.ravel(), minlength=3 * n_t * n_p)
+    return sums.reshape(3, n_t, n_p) / n_p
+
+
+@pytest.mark.parametrize("nt,nphi", [(8, 8), (9, 10), (11, 16), (16, 32)])
+def test_phi_bands_match_the_csr_bincount_bitwise(nt, nphi):
+    # random weights, and weights that do not depend on phi (a J that
+    # commutes with phi-shifts): the bands read from the operator's data,
+    # pole ghosts included, are those of the bincount, bit for bit
+    g = build_grid(nt, nphi)
+    rng = np.random.default_rng(nt * 1000 + nphi)
+    for data in (rng.standard_normal(g.shape + (9,)),
+                 np.repeat(rng.standard_normal((nt, 1, 9)), nphi, axis=1)):
+        J = StencilOperator(g, data)
+        assert np.array_equal(solver._phi_bands(J), _bincount_phi_bands(J))
+
+
+@pytest.mark.parametrize("K,r_bar,nt", [(-1, 1.0, 128), (0, 1.0, 128), (1, 0.8, 128),
+                                        (0, 1.0, 256)])
+def test_phi_modes_det_sign_matches_lu_at_high_resolution(K, r_bar, nt):
+    # the branch index of the start, which every damped stage is checked
+    # against, is PhiModes.det_sign of J0 at the headline problem's radial
+    # start; the Thomas sweep behind it has no pivoting, and at these grids
+    # it still agrees with the sign of SuperLU's pivoted factors of J0
+    m = spaceform(K)
+    g = build_grid(nt, 2 * nt)
+    base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    start, psi0 = _start(m, g, psi)
+    J0 = jacobian(m, start, psi0, 2)
+    lu = solver.splu(J0.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert solver.PhiModes(J0).det_sign() == solver._lu_det_sign(lu) == 1
 
 
 def test_phi_modes_det_sign_matches_dense_slogdet_at_damped_solutions(grid16):
@@ -648,14 +704,34 @@ def test_phi_modes_det_sign_matches_dense_slogdet_at_damped_solutions(grid16):
     psi = builtin(m, "anisotropic", base=base, epsilon=0.24, axis=(0.0, 0.0, 1.0))
     start, psi0 = _start(m, grid16, psi)
     psi1 = psi0.blend(psi, 1.0)
-    j0_modes = solver.PhiModes(jacobian(m, start, psi0, 2), grid16)
+    j0_modes = solver.PhiModes(jacobian(m, start, psi0, 2))
     predicted = ScalarField(grid16, start.values
                             - j0_modes.solve(residual(m, start, psi1, 2).values))
     for seed, index in ((predicted, 1), (start, -1)):
         fieldv, report = newton_solve(m, seed, psi1, 2, TIGHT)
         assert report.factorizations == 0
         assert report.branch_index == index
-        assert np.linalg.slogdet(jacobian(m, fieldv, psi1, 2).toarray())[0] == index
+        assert np.linalg.slogdet(jacobian(m, fieldv, psi1, 2).tocsc().toarray())[0] == index
+
+
+def test_continuation_counts_the_work_of_failed_stage_attempts(grid16, monkeypatch,
+                                                               superlu_reference):
+    # with a budget of one Newton step and the default newton_tol, each
+    # attempt from t = 1 down to 1/32 fails, t = 1/64 is accepted, and 3/64 and 1/32 fail before the run
+    # stalls.  With every system factored, each attempt's one step is one
+    # LU: the accepted stages' work stays in iterations and factorizations,
+    # the failed attempts' goes to the rejected counters
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.01)
+    m = spaceform(0)
+    with pytest.raises(NoConvergence, match="homotopy stalled") as info:
+        superlu_reference(continuity_solve, m, grid16, _aniso_target(m), 2, SolverOptions())
+    report = info.value.report
+    assert report.homotopy_t == [0.0, 0.015625]
+    assert report.iterations == report.factorizations == 1
+    assert report.rejected_iterations == report.rejected_factorizations == 8
+    summary = report.summary()
+    assert (summary["rejected_iterations"], summary["rejected_factorizations"]) == (8, 8)
 
 
 @pytest.mark.parametrize("case", ["no_sweeps", "K+1"])
@@ -846,7 +922,7 @@ def test_linear_solve_residual_64x128(superlu_reference):
                             + 0.02 * np.sin(tt) * np.cos(pp))
     J = jacobian(m, f, _aniso_target(m), 2)
     b = np.random.default_rng(64).standard_normal(g.n_nodes)
-    x, _ = superlu_reference(solver._linear_solve, J, b, g)
+    x, _ = superlu_reference(solver._linear_solve, J, b)
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
 
 
@@ -882,10 +958,10 @@ def test_linear_solve_refactors_once_when_refinement_diverges(grid16, superlu_re
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
     b = np.random.default_rng(32).standard_normal(grid16.n_nodes)
-    x, sweeps = solver._refine(_lu(-J), J, b)
+    x, sweeps = solver._refine(_lu(-J.tocsc()), J, b)
     assert x is None and sweeps == 0
     report = solver.SolveReport()
-    x, _ = superlu_reference(solver._linear_solve, J, b, grid16, report)
+    x, _ = superlu_reference(solver._linear_solve, J, b, report)
     assert report.factorizations == 1
     assert report.refine_sweeps == 0
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
@@ -898,10 +974,10 @@ def test_linear_solve_drops_a_slowly_contracting_lu(grid16, superlu_reference):
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
     b = np.random.default_rng(40).standard_normal(grid16.n_nodes)
-    x, sweeps = solver._refine(_lu(J / 0.6), J, b)
+    x, sweeps = solver._refine(_lu(J.tocsc() / 0.6), J, b)
     assert x is None and sweeps <= 1
     report = solver.SolveReport()
-    x, _ = superlu_reference(solver._linear_solve, J, b, grid16, report)
+    x, _ = superlu_reference(solver._linear_solve, J, b, report)
     assert report.factorizations == 1
     assert np.abs(J @ x - b).max() <= 1e-10 * np.abs(b).max()
 
@@ -912,7 +988,7 @@ def test_linear_solve_keeps_a_fast_contracting_lu(grid16):
     m = spaceform(0)
     J = _stage_jacobian(m, grid16, 0.1, 0.01)
     b = np.random.default_rng(41).standard_normal(grid16.n_nodes)
-    x, sweeps = solver._refine(_lu(J / 0.95), J, b)
+    x, sweeps = solver._refine(_lu(J.tocsc() / 0.95), J, b)
     assert 0 < sweeps <= solver.REFINE_MAX_SWEEPS
     assert np.abs(J @ x - b).max() <= solver.REFINE_TOL * np.abs(b).max()
 
@@ -921,13 +997,11 @@ def test_singular_jacobian_with_stale_lu_raises_no_convergence():
     # a healthy LU of a nearby matrix cannot hide a singular Jacobian:
     # refinement against it stalls on the zero row, and the factorization
     # of J itself fails
-    J = sp.identity(2048, format="lil")
-    J[7, 7] = 0.0
-    J = J.tocsr()
+    J = _identity_with_zero_at_node_7(build_grid(32, 64))
     x, _ = solver._refine(_lu(sp.identity(2048)), J, np.ones(2048))
     assert x is None
     with pytest.raises(NoConvergence, match="singular Jacobian"):
-        solver._linear_solve(J, np.ones(2048), build_grid(32, 64))
+        solver._linear_solve(J, np.ones(2048))
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
