@@ -1,14 +1,13 @@
-"""Batch front end: solve, check, verify, export.
+"""Batch front end: `starcurv <solve|check|verify|export> <config>`.
 
 Exit codes: 0 success, 1 a requested check or property failed, 2 config
-error, 3 the solver did not converge, a singular Jacobian included
+or usage error, 3 the solver did not converge, a singular Jacobian included
 (artifacts are still written from the last good iterate).  Every command
 runs serially; repeat runs write bitwise-identical artifacts.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import numpy as np
@@ -158,24 +157,22 @@ _COMMANDS = {
     "verify": cmd_verify,
     "export": cmd_export,
 }
+USAGE = f"usage: starcurv <{'|'.join(_COMMANDS)}> <config>"
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="starcurv",
-        description="Prescribed-curvature workbench for starshaped radial graphs")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("solve", "run the continuation solver and write artifacts"),
-            ("check", "evaluate the solvability-condition checkers"),
-            ("verify", "run the discrete property suites"),
-            ("export", "re-export artifacts from an existing node table")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to a key = value run configuration")
-    args = parser.parse_args(argv)
+    """Run argv (default sys.argv[1:]).  -h or --help prints USAGE and returns
+    0; an argv of another shape prints it to stderr and returns 2."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        print(USAGE)
+        return EXIT_OK
+    if len(args) != 2 or args[0] not in _COMMANDS:
+        print(USAGE, file=sys.stderr)
+        return EXIT_CONFIG
+    command, path = args
     try:
-        cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[command](parse_config(path))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,13 +5,13 @@ uniform and periodic.  Values just beyond a pole are obtained from the
 cross-pole chart identification (theta, phi) -> (-theta, phi + pi): ghost
 rows are the first/last interior row rolled by half a turn, with a sign
 flip for tensor components carrying an odd number of theta indices.
-Every finite difference comes from one table of 1-D centered stencils
-(STENCILS, order 2 for the solver and order 4 for the geometry
-diagnostics) and that one ghost-row map (pad_poles): `derivative` applies
-them to arrays, and jet_weights gives the order-2 jet on the 9-point
-footprint of StencilOperator, the operator the solver's Jacobian is.
-Its matvec is nine shifted slices of the padded field; scipy.sparse is
-imported only by its tocsc(), for the solver's LU fallback.
+Every finite difference reads a field through one halo (those ghost
+rows plus columns wrapped in phi) and one 2-D stencil table (stencil_2d,
+outer products of the 1-D STENCILS: order 2 for the solver, order 4 for
+the geometry diagnostics).  jet_weights is the order-2 jet on the 9-point
+footprint of StencilOperator, the operator the solver's Jacobian is,
+whose matvec is nine slices of the same halo; scipy.sparse is imported
+only by its tocsc(), for the solver's LU fallback.
 """
 
 from __future__ import annotations
@@ -154,28 +154,40 @@ def pad_poles(grid: SphereGrid, v: np.ndarray, parity: int = 1, depth: int = 1) 
     return p
 
 
-def stencil_sum(nums, shifted):
-    """sum_k nums[k] * shifted(k - r) over the nonzero numerators of a
-    centered stencil of half-width r, added up in offset order."""
-    r = len(nums) // 2
-    terms = [w * shifted(k - r) for k, w in enumerate(nums) if w]
-    return sum(terms[1:], terms[0])
+def halo(grid: SphereGrid, v: np.ndarray, parity: int = 1, depth: int = 1) -> np.ndarray:
+    """v with pad_poles' `depth` ghost rows beyond each pole and `depth`
+    columns wrapped in phi on each side, the array every stencil reads."""
+    h = np.empty((grid.n_theta + 2 * depth, grid.n_phi + 2 * depth))
+    h[:, depth:-depth] = pad_poles(grid, v, parity, depth)
+    h[:, :depth] = h[:, grid.n_phi:grid.n_phi + depth]
+    h[:, -depth:] = h[:, depth:2 * depth]
+    return h
+
+
+def stencil_2d(grid: SphereGrid, n_t: int, n_p: int, order: int = 2):
+    """d^(n_t + n_p) / dtheta^n_t dphi^n_p: the outer product of the theta
+    and phi numerators of STENCILS[order] (rows and columns at offsets
+    -r..r) and one divisor (den_t dtheta^n_t) (den_p dphi^n_p)."""
+    (num_t, den_t), (num_p, den_p) = STENCILS[order][n_t], STENCILS[order][n_p]
+    return np.outer(num_t, num_p), (den_t * grid.dtheta**n_t) * (den_p * grid.dphi**n_p)
+
+
+def _apply(grid: SphereGrid, h: np.ndarray, n_t: int, n_p: int, order: int) -> np.ndarray:
+    """A partial from halo h: the nonzero numerator x halo-slice terms of
+    stencil_2d added up in row-major offset order, then divided once."""
+    nums, divisor = stencil_2d(grid, n_t, n_p, order)
+    terms = (w * h[a:a + grid.n_theta, b:b + grid.n_phi] for (a, b), w in np.ndenumerate(nums) if w)
+    y = next(terms)
+    for t in terms:
+        y += t
+    return y / divisor
 
 
 def derivative(grid: SphereGrid, v: np.ndarray, n_t: int = 0, n_p: int = 0,
                parity: int = 1, order: int = 2) -> np.ndarray:
-    """d^(n_t + n_p) v / dtheta^n_t dphi^n_p from STENCILS[order], applied
-    separably: the periodic phi stencil, then the theta stencil over the
-    pad_poles rows with the given parity, each summed, then divided once."""
-    if n_p:
-        nums, den = STENCILS[order][n_p]
-        v = stencil_sum(nums, lambda k: np.roll(v, -k, axis=1)) / (den * grid.dphi**n_p)
-    if n_t:
-        nums, den = STENCILS[order][n_t]
-        r = len(nums) // 2
-        p = pad_poles(grid, v, parity, depth=r)
-        v = stencil_sum(nums, lambda k: p[r + k:r + k + grid.n_theta]) / (den * grid.dtheta**n_t)
-    return v
+    """d^(n_t + n_p) v / dtheta^n_t dphi^n_p by stencil_2d(order), through
+    the halo of v whose ghost rows have the given parity."""
+    return _apply(grid, halo(grid, v, parity, order // 2), n_t, n_p, order)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +218,9 @@ class CovariantJet:
 
 def raw_jet(field: ScalarField, order: int = 2) -> tuple:
     """Raw coordinate partials (f, f_t, f_p, f_tt, f_tp, f_pp) of a scalar
-    field, in the order of JET_COMPONENTS."""
-    return tuple(derivative(field.grid, field.values, n_t, n_p, order=order)
-                 for n_t, n_p in JET_DERIVATIVES)
+    field, in the order of JET_COMPONENTS, all read through one halo."""
+    h = halo(field.grid, field.values, depth=order // 2)
+    return tuple(_apply(field.grid, h, n_t, n_p, order) for n_t, n_p in JET_DERIVATIVES)
 
 
 def jet_from_partials(grid: SphereGrid, v, ft, fp, ftt, ftp, fpp) -> CovariantJet:
@@ -265,11 +277,10 @@ class StencilOperator:
 
     def _taps(self, x) -> list:
         """The neighbour at each of OFFSETS of every node of field x: nine
-        slices of x padded by pad_poles and wrapped one column in phi."""
+        slices of the halo of x."""
         nt, n_p = self.grid.shape
-        p = pad_poles(self.grid, np.reshape(x, self.grid.shape))
-        p = np.concatenate([p[:, -1:], p, p[:, :1]], axis=1)
-        return [p[1 + di:1 + di + nt, 1 + dj:1 + dj + n_p] for di, dj in OFFSETS]
+        h = halo(self.grid, np.reshape(x, self.grid.shape))
+        return [h[1 + di:1 + di + nt, 1 + dj:1 + dj + n_p] for di, dj in OFFSETS]
 
     def __matmul__(self, x):
         taps = self._taps(x)
@@ -290,19 +301,13 @@ class StencilOperator:
 
 
 def jet_weights(grid: SphereGrid) -> np.ndarray:
-    """The order-2 jet stencils on the 9-point footprint, shape (6, 9).
-
-    weights[c, o] is the weight of the neighbour at OFFSETS[o] in the raw
-    partial c (JET_COMPONENTS order); a raw partial has the same stencil at
-    every node, so StencilOperator(grid, broadcast weights[c]) @ f is
-    derivative's partial c of f, ghost rows included.
-    """
-    weights = []
-    for n_t, n_p in JET_DERIVATIVES:
-        (num_t, den_t), (num_p, den_p) = STENCILS[2][n_t], STENCILS[2][n_p]
-        weights.append(np.outer(num_t, num_p).ravel() / ((den_t * grid.dtheta**n_t)
-                                                        * (den_p * grid.dphi**n_p)))
-    return np.array(weights)
+    """The order-2 jet stencils on the 9-point footprint, shape (6, 9):
+    weights[c] is stencil_2d's table of raw partial c (JET_COMPONENTS
+    order), row-major as OFFSETS, over its divisor, so
+    StencilOperator(grid, broadcast weights[c]) @ f is derivative's partial
+    c of f, read through the same halo."""
+    tables = (stencil_2d(grid, n_t, n_p) for n_t, n_p in JET_DERIVATIVES)
+    return np.array([nums.ravel() / divisor for nums, divisor in tables])
 
 
 def refinement_order(field_fn, exact_fn, derived_fn, n_theta: int, n_phi: int) -> float:

@@ -160,10 +160,6 @@ class SolveReport:
     def homotopy_t_final(self) -> float:
         return self.homotopy_t[-1] if self.homotopy_t else 0.0
 
-    @property
-    def final_admissible(self) -> bool:
-        return bool(self.cone_margin) and self.cone_margin[-1] > 0.0
-
     def record(self, rnorm: float, state: GeometryState, margin: float):
         kmax = np.maximum(np.abs(state.kappa1), np.abs(state.kappa2)).max()
         values = (rnorm, state.rho.min(), state.rho.max(), np.sqrt(state.jet.grad_sq.max()),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from starcurv import solver
-from starcurv.cli import main
+from starcurv.cli import USAGE, main
 from starcurv.config import KNOWN_KEYS, SOLVER_KEYS, ConfigError, parse_config
 from starcurv.export import (NODE_TABLE_HEADER, field_from_node_table, read_node_table,
                              read_report, write_mesh, write_node_table)
@@ -82,6 +82,24 @@ def test_solve_config_error_names_invariant(tmp_path):
     proc = run_cli(["solve", str(cfg)], tmp_path)
     assert proc.returncode == 2
     assert "n_phi" in proc.stderr and "even" in proc.stderr
+
+
+@pytest.mark.parametrize("args,code", [
+    ([], 2), (["solve"], 2), (["solve", "a.cfg", "b.cfg"], 2), (["solver", "run.cfg"], 2),
+    (["--help"], 0), (["-h"], 0), (["verify", "--help"], 0)])
+def test_cli_usage(args, code, capsys):
+    # a usage error prints the usage line to stderr and exits 2, as a bad
+    # config does; asking for help prints it to stdout and exits 0
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err) == USAGE + "\n"
+    assert USAGE == "usage: starcurv <solve|check|verify|export> <config>"
+
+
+def test_module_without_arguments_is_a_usage_error(tmp_path):
+    proc = run_cli([], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == USAGE and proc.stdout == ""
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -601,14 +619,15 @@ def test_import_defaults_blas_to_one_thread_unless_set():
 
 def test_default_solve_leaves_out_scipy(tmp_path):
     # the 16x32 headline problem (axis e_z) is solved by the Jacobian's own
-    # phi-modes with no LU, so a whole solve still loads no scipy module
+    # phi-modes with no LU, so a whole solve still loads no scipy module;
+    # main reads its two arguments itself, so no argparse or gettext either
     cfg = write_cfg(tmp_path / "run.cfg", ANISO_CFG)
     code = (f"import sys; from starcurv.cli import main; rc = main(['solve', {str(cfg)!r}]); "
-            f"print(rc, {SCIPY_MODULES})")
+            f"print(rc, {SCIPY_MODULES}, 'argparse' in sys.modules, 'gettext' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 [] False False"
     report = read_report(tmp_path / "report.txt")
     assert report["converged"] == "true"
     assert report["factorizations"] == "0"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import starcurv.grid as grid_module
 from starcurv.grid import (JET_COMPONENTS, JET_DERIVATIVES, OFFSETS, CovariantJet,
                            GridError, ScalarField, StencilOperator, build_grid,
                            constant_field, covariant_jet, derivative, field_from_function,
@@ -215,3 +216,38 @@ def test_fourth_order_theta_derivative_odd_parity_through_poles():
     assert errs[-1] < 1e-6
     for coarse, fine in zip(errs, errs[1:]):
         assert 13.0 < coarse / fine < 19.0
+
+
+def test_mixed_hessian_second_order_on_every_row():
+    # f = xy + zx is not axisymmetric, and its covariant H_tp is
+    # sin(t) cos(t) cos(2p) + sin(t)^2 sin(p); the mixed stencil reads the
+    # ghost rows at both of its phi offsets, so the rows next to a pole
+    # converge at second order like the rest: each coarse row's error is
+    # about 4x that of the two fine rows inside its cell
+    fn = lambda tt, pp: 0.5 * np.sin(tt)**2 * np.sin(2 * pp) + np.sin(tt) * np.cos(tt) * np.cos(pp)
+    errs = []
+    for nt in (16, 32, 64):
+        g = build_grid(nt, 2 * nt)
+        tt, pp = g.mesh()
+        exact = np.sin(tt) * np.cos(tt) * np.cos(2 * pp) + np.sin(tt)**2 * np.sin(pp)
+        errs.append(np.abs(covariant_jet(field_from_function(g, fn)).hess_tp - exact).max(axis=1))
+    for coarse, fine in zip(errs, errs[1:]):
+        ratios = coarse / np.maximum(fine[0::2], fine[1::2])
+        assert np.all((3.3 < ratios) & (ratios < 4.7)), ratios
+        for pole in (0, -1):
+            assert 3.3 < coarse[pole] / fine[pole] < 4.7
+
+
+def test_one_halo_per_jet_and_per_matvec(monkeypatch):
+    # every stencil reads its field through one halo: the six raw partials
+    # of a jet share one, and a matvec takes its nine slices from one
+    g = build_grid(16, 32)
+    calls = []
+    build = grid_module.halo
+    monkeypatch.setattr(grid_module, "halo", lambda *a, **kw: calls.append(a) or build(*a, **kw))
+    f = field_from_function(g, lambda tt, pp: np.sin(tt) * np.cos(pp))
+    covariant_jet(f)
+    assert len(calls) == 1
+    op = StencilOperator(g, np.ones(g.shape + (9,)))
+    op @ f.values.ravel()
+    assert len(calls) == 2

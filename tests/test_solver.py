@@ -195,7 +195,7 @@ def test_newton_monitors_recorded(grid16):
     assert n == report.iterations + 1
     for name in ("rho_min", "rho_max", "grad_inf", "kappa_max", "u_min", "cone_margin"):
         assert len(getattr(report, name)) == n
-    assert report.final_admissible
+    assert report.cone_margin[-1] > 0
     assert min(report.u_min) > 0.0
     assert all(np.isfinite(report.kappa_max))
 
