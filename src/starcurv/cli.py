@@ -20,7 +20,6 @@ from .prescription import (MONOTONE_SAMPLES, MONOTONE_TOL, check_barriers,
                            check_monotonicity, default_rho_samples)
 from .solver import NoConvergence, SolveReport, _residual_of, continuity_solve
 from .spaceform import DomainError
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -125,6 +124,8 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .verify import run_all   # a solve need not compile the diagnostics
+
     results = run_all(cfg.grid.n_theta, cfg.grid.n_phi)
     mapping = {}
     for r in results:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,8 +13,8 @@ import pytest
 from starcurv import solver
 from starcurv.cli import USAGE, main
 from starcurv.config import KNOWN_KEYS, SOLVER_KEYS, ConfigError, parse_config
-from starcurv.export import (NODE_TABLE_HEADER, field_from_node_table, read_node_table,
-                             read_report, write_mesh, write_node_table)
+from starcurv.export import (NODE_TABLE_HEADER, field_from_node_table, format_g17,
+                             read_node_table, read_report, write_mesh, write_node_table)
 from starcurv.geometry import assemble
 from starcurv.grid import ScalarField, build_grid, constant_field
 from starcurv.solver import SolveReport, SolverOptions, _residual_of, residual
@@ -210,6 +211,23 @@ def test_export_rejects_node_table_outside_the_domain(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("export:") and "outside admissible interval" in err
     assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "theta,phi,rho\n0.5,0,1\n",
+    NODE_TABLE_HEADER + "\n0.5,0,1,1,1,1,0\n0.5,0.2,1,1,1,1\n",
+    NODE_TABLE_HEADER + "\n0.5,0,1,1,one,1,0\n",
+    NODE_TABLE_HEADER + "\n",
+], ids=["bad-header", "ragged-row", "non-numeric", "header-only"])
+def test_export_rejects_malformed_node_table(tmp_path, capsys, body):
+    (tmp_path / "nodes.csv").write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            read_node_table(tmp_path / "nodes.csv")
+    cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG)
+    assert main(["export", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("export:")
 
 
 CHECK_MONO_CFG = """
@@ -560,31 +578,65 @@ def _mesh_by_value(grid, rho) -> str:
 
 
 def test_writers_match_per_value_formatting(tmp_path):
-    g = build_grid(8, 16)
+    # 33x66 spans three blocks of both files, the last one partial
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, 1e16, -1e16, 1e-20, 1e20, 0.1, 1.0 / 3.0])
+    for g in (build_grid(8, 16), build_grid(33, 66)):
+        def column():
+            spread = 10.0 ** rng.uniform(-20.0, 20.0, g.n_nodes - special.size)
+            signs = rng.choice([-1.0, 1.0], spread.size)
+            return np.concatenate([special, signs * spread]).reshape(g.shape)
 
-    def column():
-        spread = 10.0 ** rng.uniform(-20.0, 20.0, g.n_nodes - special.size)
-        signs = rng.choice([-1.0, 1.0], spread.size)
-        return np.concatenate([special, signs * spread]).reshape(g.shape)
+        state = SimpleNamespace(grid=g, rho=column(), kappa1=column(), kappa2=column(),
+                                u=column())
+        res = column()
+        write_node_table(tmp_path / "nodes.csv", state, res)
+        assert (tmp_path / "nodes.csv").read_text() == _node_table_by_value(state, res)
+        write_mesh(tmp_path / "m.obj", g, state.rho)
+        assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, state.rho)
 
-    state = SimpleNamespace(grid=g, rho=column(), kappa1=column(), kappa2=column(),
-                            u=column())
-    res = column()
-    write_node_table(tmp_path / "nodes.csv", state, res)
-    assert (tmp_path / "nodes.csv").read_text() == _node_table_by_value(state, res)
-    write_mesh(tmp_path / "m.obj", g, state.rho)
-    assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, state.rho)
+        m = spaceform(0)
+        f = ScalarField(g, 1.0 + 0.05 * rng.standard_normal(g.shape))
+        state = assemble(m, f)
+        res = residual(m, f, None, 2).values
+        write_node_table(tmp_path / "nodes.csv", state, res)
+        assert (tmp_path / "nodes.csv").read_text() == _node_table_by_value(state, res)
+        write_mesh(tmp_path / "m.obj", g, f.values)
+        assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, f.values)
 
-    m = spaceform(0)
-    f = ScalarField(g, 1.0 + 0.05 * rng.standard_normal(g.shape))
-    state = assemble(m, f)
-    res = residual(m, f, None, 2).values
-    write_node_table(tmp_path / "nodes.csv", state, res)
-    assert (tmp_path / "nodes.csv").read_text() == _node_table_by_value(state, res)
-    write_mesh(tmp_path / "m.obj", g, f.values)
-    assert (tmp_path / "m.obj").read_text() == _mesh_by_value(g, f.values)
+
+def test_g17_kernel_matches_format():
+    rng = np.random.default_rng(17)
+    tiny = np.finfo(float).tiny
+    values = [0.0, 5e-324, tiny / 3.0, tiny, np.inf, np.nan,
+              2.0 ** 53 - 2.0, 2.0 ** 53 + 2.0, 0.5, 100.0, 1.2e-5]
+    for edge in [float(f"1e{k}") for k in range(-30, 21)]:
+        values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+    # odd m / 2^j in [10^(17-j), 10^(18-j)) has 18 significant digits ending
+    # in 5: a tie of the 17-digit rounding; its neighbours lie next to one
+    ties = []
+    for j in range(3, 25):
+        low = 10.0 ** (17 - j) * 2.0 ** j
+        m = 2.0 * np.floor(rng.uniform(low, 10.0 * low, 40) / 2.0) + 1.0
+        ties.append(m / 2.0 ** j)
+    ties = np.concatenate(ties)
+    # v = m 2^-(k+s) with m 5^s = 2^(k-1) + t (mod 2^k) scales to t 2^-k off
+    # a tie, closer than the double-double arithmetic can tell apart
+    near = []
+    for s in range(17, 24):
+        for k in range(40, 53):
+            for t in (-3, -2, -1, 1, 2, 3):
+                m = ((2 ** (k - 1) + t) * pow(5 ** s, -1, 2 ** k)) % 2 ** k
+                m += 2 ** k * -(-(2 ** 52 - m) // 2 ** k)   # the first m >= 2^52
+                near += [(m + j * 2 ** k) / 2.0 ** (k + s) for j in range(4)
+                         if m + j * 2 ** k < 2 ** 53]
+    spread = 10.0 ** rng.uniform(-40.0, 40.0, 100_000)
+    v = np.concatenate([values, ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+                        near, spread])
+    v = np.concatenate([v, -v])
+    cells = format_g17(v.reshape(-1, 1), b"\n")
+    got = cells.tobytes().replace(b"\0", b"").decode().split("\n")[:-1]
+    assert got == [format(x, ".17g") for x in v.tolist()]
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
@@ -620,14 +672,16 @@ def test_import_defaults_blas_to_one_thread_unless_set():
 def test_default_solve_leaves_out_scipy(tmp_path):
     # the 16x32 headline problem (axis e_z) is solved by the Jacobian's own
     # phi-modes with no LU, so a whole solve still loads no scipy module;
-    # main reads its two arguments itself, so no argparse or gettext either
+    # main reads its two arguments itself, so no argparse or gettext either,
+    # and only `starcurv verify` imports the verify module
     cfg = write_cfg(tmp_path / "run.cfg", ANISO_CFG)
     code = (f"import sys; from starcurv.cli import main; rc = main(['solve', {str(cfg)!r}]); "
-            f"print(rc, {SCIPY_MODULES}, 'argparse' in sys.modules, 'gettext' in sys.modules)")
+            f"print(rc, {SCIPY_MODULES}, 'argparse' in sys.modules, 'gettext' in sys.modules, "
+            f"'starcurv.verify' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 [] False False"
+    assert proc.stdout.splitlines()[-1] == "0 [] False False False"
     report = read_report(tmp_path / "report.txt")
     assert report["converged"] == "true"
     assert report["factorizations"] == "0"
