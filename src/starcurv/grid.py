@@ -10,8 +10,8 @@ rows plus columns wrapped in phi) and one 2-D stencil table (stencil_2d,
 outer products of the 1-D STENCILS: order 2 for the solver, order 4 for
 the geometry diagnostics).  jet_weights is the order-2 jet on the 9-point
 footprint of StencilOperator, the operator the solver's Jacobian is,
-whose matvec is nine slices of the same halo; scipy.sparse is imported
-only by its tocsc(), for the solver's LU fallback.
+whose matvec is nine slices of the same halo; its tocsc() is the tests'
+reference matrix, and the only place that imports scipy.sparse.
 """
 
 from __future__ import annotations
@@ -267,9 +267,9 @@ class StencilOperator:
     the nine shifted-slice products up in offset order, which is the matvec
     of the CSR matrix whose row (i, j) holds data[i, j] in that order,
     bitwise.  x is a field of the grid's shape or flat over its nodes, and
-    so is op @ x.  abs(op) has the weights |data|.  tocsc() is the matrix
-    for a sparse LU; it imports scipy.sparse on first call, the only place
-    the discretization does.
+    so is op @ x.  abs(op) has the weights |data|.  tocsc() is that matrix,
+    the tests' reference for dense and sparse direct solves; no solve
+    calls it, and it imports scipy.sparse on first call.
     """
 
     grid: SphereGrid

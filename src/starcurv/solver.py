@@ -11,17 +11,15 @@ numpy slice matvec.  dF/dc is closed form for sigma_k, the
 linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
 through the jet's entries of g and h, and the prescription's own partials
 in rho and nu for the three components they read.  Each Newton system is
-solved by iterative refinement against the PhiModes of its own J: J
-averaged over phi (T. Chan's optimal circulant approximation, applied per
-theta-block), one real FFT in phi and one tridiagonal Thomas sweep in
-theta per mode, with no LU.  When J commutes with phi-shifts (an axis
-along e_z) the modes are J itself, and their first solve meets the goal
-with no sweep.  Only when refinement stops contracting is J factored by
-SuperLU with the minimum-degree ordering of J^T + J (MMD_AT_PLUS_A);
-nothing is held from one system to the next, and scipy (J.tocsc() and
-scipy.sparse.linalg) is imported only for that fallback.  Refinement
-stops at Oettli and Prager's componentwise backward error floor when
-REFINE_TOL |b| asks for more than float64 can deliver.  The continuation tries the whole path t = 0 ->
+solved by restarted GMRES, right-preconditioned by the PhiModes of its own
+J: J averaged over phi (T. Chan's optimal circulant approximation, applied
+per theta-block), one real FFT in phi and one tridiagonal Thomas sweep in
+theta per mode, with no LU and no scipy.  GMRES starts from the modes'
+solve, so when J commutes with phi-shifts (an axis along e_z) the modes
+are J itself and that one solve meets the goal with no matvec.  Nothing is
+held from one system to the next.  The solve stops at Oettli and Prager's
+componentwise backward error floor when REFINE_TOL |b| asks for more than
+float64 can deliver.  The continuation tries the whole path t = 0 ->
 1 in one step first, halves a step that fails and doubles the next one
 after a step that succeeds.  It is an Euler-Newton predictor-corrector:
 each attempt of the first stage after t = 0 seeds Newton with the
@@ -118,15 +116,14 @@ class SolveReport:
     counts as iterate zero, and is recorded even when it is not
     admissible).  homotopy_t has one entry per accepted continuation
     stage; homotopy_t_final is the last of them, 0 before the first.
-    factorizations counts the sparse LUs, which a Newton system needs only
-    when refinement against the phi-averaged modes of its J gives up (see
-    _linear_solve), and refine_sweeps the refinement sweeps against those
-    modes; on a continuation's report, like iterations, both cover the
-    accepted stages only.  rejected_iterations and rejected_factorizations
-    count the same work of the stage attempts the continuation rejected,
-    failed or off the start's branch.  branch_rejections counts the stages
-    rejected because the branch index at their solution differed from the
-    start's.
+    linear_iterations counts the GMRES matvecs of the Newton systems (see
+    _linear_solve), 0 when the phi-averaged modes of each J solve its
+    system at once; on a continuation's report, like iterations, it covers
+    the accepted stages only.  rejected_iterations and
+    rejected_linear_iterations count the same work of the stage attempts
+    the continuation rejected, failed or off the start's branch.
+    branch_rejections counts the stages rejected because the branch index
+    at their solution differed from the start's.
     branch_index is sign det J at the solution of a Newton solve that
     damped a step, 0 when it damped none.  state is the geometry of the
     field a converged solve returned (a continuation's is its last
@@ -135,10 +132,9 @@ class SolveReport:
 
     converged: bool = False
     iterations: int = 0
-    factorizations: int = 0
-    refine_sweeps: int = 0
+    linear_iterations: int = 0
     rejected_iterations: int = 0
-    rejected_factorizations: int = 0
+    rejected_linear_iterations: int = 0
     branch_rejections: int = 0
     branch_index: int = 0
     message: str = ""
@@ -170,16 +166,15 @@ class SolveReport:
     def absorb(self, other: "SolveReport"):
         """Append another solve's accepted-iterate traces (homotopy stages)."""
         self.iterations += other.iterations
-        self.factorizations += other.factorizations
-        self.refine_sweeps += other.refine_sweeps
+        self.linear_iterations += other.linear_iterations
         self.branch_rejections += other.branch_rejections
         for name in MONITORS:
             getattr(self, name).extend(getattr(other, name))
 
     def reject(self, other: "SolveReport"):
-        """Count a rejected stage attempt's Newton steps and LUs."""
+        """Count a rejected stage attempt's Newton steps and matvecs."""
         self.rejected_iterations += other.iterations
-        self.rejected_factorizations += other.factorizations
+        self.rejected_linear_iterations += other.linear_iterations
 
     def last_monitors(self) -> dict:
         """The last entry of each monitor list, skipping empty ones."""
@@ -189,9 +184,9 @@ class SolveReport:
     def summary(self) -> dict:
         """Counters, last monitors and homotopy_t_final: the report keys of a solve."""
         return {"converged": self.converged, "iterations": self.iterations,
-                "factorizations": self.factorizations, "refine_sweeps": self.refine_sweeps,
+                "linear_iterations": self.linear_iterations,
                 "rejected_iterations": self.rejected_iterations,
-                "rejected_factorizations": self.rejected_factorizations,
+                "rejected_linear_iterations": self.rejected_linear_iterations,
                 "branch_rejections": self.branch_rejections, **self.last_monitors(),
                 "homotopy_t_final": self.homotopy_t_final}
 
@@ -339,106 +334,81 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     return StencilOperator(g, np.ascontiguousarray(np.moveaxis(planes, 0, -1)))
 
 
-# Refinement stops once |b - Jx|_inf <= max(REFINE_TOL |b|_inf, REFINE_FLOOR
-# max(|J| |x|)), the second term Oettli and Prager's componentwise backward
-# error at 16 ulps (Numer. Math. 6, 1964): past it, a smaller residual is
-# roundoff, not accuracy.  It gives up as soon as the observed contraction
-# cannot get there within REFINE_MAX_SWEEPS sweeps (see _refine).
+# The linear solve stops once |b - Jx|_inf <= max(REFINE_TOL |b|_inf,
+# REFINE_FLOOR max(|J| |x|)), the second term Oettli and Prager's
+# componentwise backward error at 16 ulps (Numer. Math. 6, 1964): past it, a
+# smaller residual is roundoff, not accuracy.  GMRES restarts after
+# GMRES_RESTART matvecs, and runs at most GMRES_MAX_CYCLES cycles.
 REFINE_TOL = 1e-8
 REFINE_FLOOR = 16.0 * np.finfo(float).eps
-REFINE_MAX_SWEEPS = 12
+GMRES_RESTART = 30
+GMRES_MAX_CYCLES = 10
 
 
 def splu(A, **options):
-    """scipy.sparse.linalg.splu, imported on first call: only the fallback
-    of _linear_solve factors, on J.tocsc(), so a run that never falls back
-    loads no scipy module."""
+    """scipy.sparse.linalg.splu, imported on first call; no solve calls it."""
     from scipy.sparse.linalg import splu as superlu
     return superlu(A, **options)
 
 
-def _perm_parity(perm: np.ndarray) -> int:
-    """(-1)^(n - cycles) of a permutation of 0..n-1, by pointer jumping.
+def _gmres_cycle(J: StencilOperator, modes: "PhiModes", r: np.ndarray, goal: float):
+    """One GMRES cycle on J M^-1 u = r, M the modes: returns (M^-1 u, matvecs).
 
-    After round r, label[i] is the least index among the first 2^r nodes
-    of i's cycle, so after ceil(log2 n) rounds each node carries its
-    cycle's least index, and the cycles are the nodes that carry their own."""
-    n = len(perm)
-    label, jump = np.arange(n), np.asarray(perm)
-    for _ in range((n - 1).bit_length()):
-        label = np.minimum(label, label[jump])
-        jump = jump[jump]
-    cycles = np.count_nonzero(label == np.arange(n))
-    return -1 if (n - cycles) % 2 else 1
-
-
-def _lu_det_sign(lu) -> int:
-    """sign det A from SuperLU's Pr A Pc = L U, where L has a unit diagonal:
-    prod sign(U_ii) sign(Pr) sign(Pc), 0 for a zero pivot."""
-    return (int(np.prod(np.sign(lu.U.diagonal()))) * _perm_parity(lu.perm_r)
-            * _perm_parity(lu.perm_c))
-
-
-def _refine(op, J: StencilOperator, rhs: np.ndarray):
-    """Iterative refinement of J x = rhs against op, whose solve inverts a
-    nearby matrix: the phi-averaged modes of J in _linear_solve.
-
-    Returns (x, sweeps); x is None when the refinement gives up.  The goal
-    is max(REFINE_TOL |rhs|, REFINE_FLOOR max(|J| |x|)), with |J| = abs(J)
-    and x the current iterate.  After sweep j the contraction is theta =
-    |r_j| / |r_{j-1}|, with |r_{-1}| = |rhs|; at that rate the goal is j +
-    log(goal / |r_j|) / log(theta) sweeps away.  It gives up as soon as theta >= 1 (or NaN) or
-    that count exceeds REFINE_MAX_SWEEPS, the contraction test of
-    Deuflhard, Newton Methods for Nonlinear Problems (2004), applied to the
-    linear iteration.
-    """
-    abs_j = abs(J)
-    x = op.solve(rhs)
-    r = rhs - J @ x
-    last, rnorm = np.abs(rhs).max(), np.abs(r).max()
-    tol = REFINE_TOL * last
-    sweeps = 0
-    while True:
-        goal = max(tol, REFINE_FLOOR * (abs_j @ np.abs(x)).max())
-        if rnorm <= goal:
-            return x, sweeps
-        theta = rnorm / last
-        if not theta < 1.0 or (sweeps + math.log(goal / rnorm) / math.log(theta)
-                               > REFINE_MAX_SWEEPS):
-            return None, sweeps
-        x += op.solve(r)
-        sweeps += 1
-        r = rhs - J @ x
-        last, rnorm = rnorm, np.abs(r).max()
+    Arnoldi (modified Gram-Schmidt) builds the Hessenberg H, and y
+    minimizes |beta e1 - H y|_2 (lstsq: finite on a singular H), the new
+    residual's 2-norm in exact arithmetic and so a bound of its sup norm.
+    The cycle ends once that is at most goal, at a zero Arnoldi vector (a
+    lucky breakdown), or after GMRES_RESTART steps."""
+    V = np.empty((GMRES_RESTART + 1, r.size))
+    H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+    e1 = np.zeros(GMRES_RESTART + 1)
+    e1[0] = beta = np.linalg.norm(r)
+    V[0] = r / beta
+    for j in range(GMRES_RESTART):
+        w = J @ modes.solve(V[j])
+        for i in range(j + 1):
+            H[i, j] = V[i] @ w
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        h, g = H[:j + 2, :j + 1], e1[:j + 2]
+        y = np.linalg.lstsq(h, g, rcond=None)[0]
+        if H[j + 1, j] == 0.0 or np.linalg.norm(g - h @ y) <= goal:
+            break
+        V[j + 1] = w / H[j + 1, j]
+    return modes.solve(y @ V[:j + 1]), j + 1
 
 
 def _linear_solve(J: StencilOperator, rhs: np.ndarray,
                   report: Optional[SolveReport] = None):
-    """Solve J x = rhs by refinement against the PhiModes of J, else directly.
+    """Solve J x = rhs by restarted GMRES right-preconditioned by the
+    PhiModes M of J (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
 
-    Returns (x, op), op being what served the system: the modes, or, when
-    refinement against them gives up, a SuperLU factor of J.tocsc(),
-    which solves it directly with one step of iterative refinement.
-    Neither outlives the call.  report, if given, counts factorizations
-    and sweeps.
+    x starts at M^-1 rhs, which meets the goal at once when J commutes
+    with phi-shifts, since M is then J.  Each cycle must lower the sup norm
+    of the true residual: one that does not, or a non-finite x (whose
+    residual is not finite either, since every node reads itself), raises
+    NoConvergence, as does a residual above the goal after
+    GMRES_MAX_CYCLES cycles.  |J| |x| is computed only when the residual
+    is above REFINE_TOL |rhs|.  Returns (x, M).  report, if given, counts
+    the matvecs in linear_iterations.
     """
     modes = PhiModes(J)
-    x, sweeps = _refine(modes, J, rhs)
-    if report is not None:
-        report.refine_sweeps += sweeps
-    if x is not None:
-        return x, modes
-    try:
-        lu = splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:
-        raise NoConvergence("linear solve failed: singular Jacobian") from None
-    if report is not None:
-        report.factorizations += 1
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - J @ x)
-    if not np.all(np.isfinite(x)):
-        raise NoConvergence("linear solve failed: singular Jacobian")
-    return x, lu
+    x = modes.solve(rhs)
+    tol, last = REFINE_TOL * np.abs(rhs).max(), math.inf
+    for cycle in range(GMRES_MAX_CYCLES + 1):
+        r = rhs - J @ x
+        rnorm = np.abs(r).max()
+        if not rnorm < last:
+            raise NoConvergence("linear solve failed: singular Jacobian")
+        if rnorm <= tol or rnorm <= (floor := REFINE_FLOOR * (abs(J) @ np.abs(x)).max()):
+            return x, modes
+        if cycle == GMRES_MAX_CYCLES:
+            raise NoConvergence(f"linear solve failed: residual {rnorm!r} after "
+                                f"{GMRES_MAX_CYCLES} GMRES cycles")
+        dx, matvecs = _gmres_cycle(J, modes, r, max(tol, floor))
+        if report is not None:
+            report.linear_iterations += matvecs
+        x, last = x + dx, rnorm
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +418,9 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  k: int, opts: Optional[SolverOptions] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
-    Each Newton system is solved by refinement against the phi-averaged
-    modes of its own Jacobian, and by SuperLU only when that gives up (see
-    _linear_solve).  The converged report's state is the geometry of the
-    returned field.
+    Each Newton system is solved by GMRES preconditioned by the
+    phi-averaged modes M of its own Jacobian (see _linear_solve).  The
+    converged report's state is the geometry of the returned field.
 
     Backtracking accepts a step only when the candidate stays strictly
     inside the radial domain, keeps the curvatures inside the cone with
@@ -459,11 +428,11 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     Raises ConeBreach when no step length is even admissible and
     NoConvergence when MAX_NEWTON_ITERS steps do not reach newton_tol; both
     carry the report of this solve.  When a step was damped, the converged
-    report's branch_index is sign det J from what served the last step:
-    PhiModes.det_sign of the modes, or _lu_det_sign of an LU.  The LU is of
-    J itself; the modes are a nearby A against which refinement
-    contracted, which needs |I - A^-1 J| < 1, so det A and det J have the
-    same sign.
+    report's branch_index is sign det M of the modes that served the last
+    step (PhiModes.det_sign).  It is sign det J exactly when J commutes
+    with phi-shifts, since M is then J.  Otherwise it rests on M being
+    near J: det M and det J share their sign while |I - M^-1 J| < 1, which
+    a converged GMRES does not certify.
     """
     opts = opts or SolverOptions()
     report = SolveReport()
@@ -524,8 +493,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     report.message = "converged"
     report.state = state
     if damped:
-        report.branch_index = (served.det_sign() if isinstance(served, PhiModes)
-                               else _lu_det_sign(served))
+        report.branch_index = served.det_sign()
     return fieldv, report
 
 
@@ -659,7 +627,7 @@ class PhiModes:
     coefficients averaged over phi, which is J itself when J commutes with
     phi-shifts (the predictor's J0) and otherwise the optimal circulant
     approximation in phi of T. Chan (SIAM J. Sci. Stat. Comput. 9, 1988),
-    a preconditioner that _refine iterates against.  The B_m are factored
+    which preconditions _linear_solve's GMRES.  The B_m are factored
     by Thomas elimination (no pivoting), one sweep vectorized over the
     modes.
     """
@@ -719,8 +687,8 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     (0, a) or is not admissible (ConeBreach at Newton's seed).  Later
     stages start Newton from the last accepted solution.  Newton corrects;
     the report's iterations count its steps only, not the predictor, and
-    only in accepted stages: a rejected attempt's steps and LUs go to
-    rejected_iterations and rejected_factorizations.
+    only in accepted stages: a rejected attempt's steps and matvecs go to
+    rejected_iterations and rejected_linear_iterations.
 
     The first step is FIRST_STEP, the whole path; a failed step is halved
     from the t it tried, and an accepted one doubles the next, without a
