@@ -13,8 +13,10 @@ decides all zeros and every value with 1e-27 <= |v| < 1e15 that is not
 within 1e-6 of a rounding tie of its 17 digits; the rest (non-finite
 values, other magnitudes, near-ties) go through '%.17g' % v one at a
 time.  Both files are written to an open binary handle in blocks of about
-BLOCK_ROWS rows, one kernel call per block; mesh face lines are filled by
-%-formats, block by block.
+BLOCK_ROWS rows, one kernel call per block.  Mesh face lines are laid out
+from one table of vertex-id cells, each a space and the id's digits behind
+0 bytes (`_id_cells`): a block of faces is one `take` of its ids' cells
+between b'f' and the newline, with the 0 bytes dropped.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
-
-
-def _format_rows(template: str, rows: np.ndarray) -> bytes:
-    """One template line per row of a 2-D integer array, filled by a single %-format."""
-    return ((template * len(rows)) % tuple(rows.ravel().tolist())).encode()
 
 
 # --- the '%.17g' kernel ------------------------------------------------------
@@ -204,6 +201,19 @@ def _strings(values: np.ndarray, sep: bytes) -> np.ndarray:
     return np.array(words).view(np.uint8).reshape(len(words), -1)
 
 
+def _id_cells(count: int) -> np.ndarray:
+    """Row i < count: b' ' followed by i's decimal digits, right-aligned in a
+    cell as wide as the widest row, with 0 bytes in the unused leading places."""
+    width = len(str(count - 1)) + 1
+    k = np.arange(count)
+    digits = 1 + sum(k >= 10 ** j for j in range(1, width - 1))
+    cells = np.zeros((count, width), dtype=np.uint8)
+    for j in range(width - 1):
+        cells[:, width - 1 - j] = np.where(j < digits, k // 10 ** j % 10 + 48, 0)
+    cells[k, width - 1 - digits] = ord(" ")
+    return cells
+
+
 def write_node_table(path, state: GeometryState, residual_values: np.ndarray) -> None:
     """Written in blocks of whole theta rows, about BLOCK_ROWS nodes each;
     theta and phi are formatted once per grid line."""
@@ -268,15 +278,19 @@ def write_mesh(path, grid: SphereGrid, rho: np.ndarray) -> None:
     north_id, south_id = nt * nphi + 1, nt * nphi + 2
     caps = np.stack([np.full(nphi, north_id), ids[0], east[0],
                      np.full(nphi, south_id), east[-1], ids[-1]], axis=-1).reshape(-1, 3)
-    vertex = np.frombuffer(b"v ", dtype=np.uint8)
+    vertex, face, newline = (np.frombuffer(b, dtype=np.uint8) for b in (b"v ", b"f", b"\n"))
+    cells = _id_cells(south_id + 1)
     with open(path, "wb") as fh:
         for i in range(0, len(verts), BLOCK_ROWS):
             block = verts[i:i + BLOCK_ROWS]
             fh.write(_packed(np.broadcast_to(vertex, (len(block), 2)),
                              format_g17(block, b"  \n")))
-        for template, faces in (("f %d %d %d %d\n", quads), ("f %d %d %d\n", caps)):
+        for faces in (quads, caps):
             for i in range(0, len(faces), BLOCK_ROWS):
-                fh.write(_format_rows(template, faces[i:i + BLOCK_ROWS]))
+                rows = faces[i:i + BLOCK_ROWS]
+                fh.write(_packed(np.broadcast_to(face, (len(rows), 1)),
+                                 cells.take(rows, axis=0).reshape(len(rows), -1),
+                                 np.broadcast_to(newline, (len(rows), 1))))
 
 
 def write_report(path, mapping: dict) -> None:

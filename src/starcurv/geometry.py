@@ -129,11 +129,14 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
 
     u = phi * phi / sroot
 
-    # chart-embedded unit normal (phi z - f_t e_t - f_p / sin(theta) e_p) / sroot
+    # chart-embedded unit normal (phi z - f_t e_t - f_p / sin(theta) e_p) / sroot,
+    # written per Cartesian component: numpy's loops over a trailing axis of 3 are slow
     z, e_t, e_p = g.unit_vectors()
     coef = 1.0 / sroot
-    nu = coef[..., None] * (-dt[..., None] * e_t - (dp / st)[..., None] * e_p
-                            + phi[..., None] * z)
+    fp = dp / st
+    nu = np.empty(g.shape + (3,))
+    for c in range(3):
+        nu[..., c] = coef * (-dt * e_t[..., c] - fp * e_p[..., c] + phi * z[..., c])
 
     return GeometryState(grid=g, rho=rho, jet=jet, phi=phi, dphi=dphi, pot=pot,
                          g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,

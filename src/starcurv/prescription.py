@@ -144,8 +144,9 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, **params) -> Prescri
         def partials(z, rho, nu):
             b_rho, b_nu = bpartials(z, rho, nu)
             tilt = 1.0 + eps * (nu @ axis)
+            b = bfn(z, rho, nu)
             return (b_rho * tilt,
-                    b_nu * tilt[..., None] + eps * np.multiply.outer(bfn(z, rho, nu), axis))
+                    b_nu * tilt[..., None] + eps * np.stack([b * a for a in axis], axis=-1))
 
         out_params = {"base": base.family, "epsilon": eps, "axis": tuple(axis),
                       **{f"base_{key}": val for key, val in base.params.items()}}

@@ -16,19 +16,24 @@ J: J averaged over phi (T. Chan's optimal circulant approximation, applied
 per theta-block), one real FFT in phi and one tridiagonal Thomas sweep in
 theta per mode, with no LU and no scipy.  GMRES starts from the modes'
 solve, so when J commutes with phi-shifts (an axis along e_z) the modes
-are J itself and that one solve meets the goal with no matvec.  Nothing is
-held from one system to the next.  The solve stops at Oettli and Prager's
-componentwise backward error floor when REFINE_TOL |b| asks for more than
-float64 can deliver.  The continuation tries the whole path t = 0 ->
-1 in one step first, halves a step that fails and doubles the next one
-after a step that succeeds.  It is an Euler-Newton predictor-corrector:
-each attempt of the first stage after t = 0 seeds Newton with the
-tangent predictor start - J0^-1 F(start; psi_t).  J0, the Jacobian at the radial start, commutes with
-phi-shifts for every target, so its PhiModes solves it exactly.  The
-predictor is skipped when the start already meets newton_tol at t, and
-dropped for one retry from the start when its field leaves (0, a) or is
-not admissible; later stages start from the last solution.  A report's
-iterations count Newton corrector steps only.  A stage whose Newton
+are J itself and that one solve meets the goal with no matvec.  The solve
+stops at Oettli and Prager's componentwise backward error floor when
+REFINE_TOL |b| asks for more than float64 can deliver.  The continuation
+tries the whole path t = 0 -> 1 in one step first, halves a step that
+fails and doubles the next one after a step that succeeds.  It is an
+Euler-Newton predictor-corrector: each attempt of the first stage after
+t = 0 seeds Newton with the tangent predictor start - J0^-1 F(start;
+psi_t).  J0, the Jacobian at the radial start, commutes with phi-shifts
+for every target, so its PhiModes solves it exactly.  The predictor is
+skipped when the start already meets newton_tol at t, and dropped for
+one retry from the start when its field leaves (0, a) or is not
+admissible; later stages start from the last solution.  The first
+corrector step from a predicted seed reuses J0's modes: the chord step
+seed - J0^-1 F(seed; psi_t), kept only at full length when it stays
+admissible and lowers the residual sup norm, builds no Jacobian; every
+other Newton system is solved afresh, and nothing else is held from one
+system to the next.  A report's iterations count corrector steps (chord
+and Newton) only, not the predictor.  A stage whose Newton
 solve damped a step must also keep the branch index, the sign of det J,
 of the radial start: that sign is the local Leray-Schauder index of an
 isolated solution, and the two solutions that meet at a fold have
@@ -292,11 +297,15 @@ def _psi_linearized(state: GeometryState, psi: Prescription):
     In the frame (z, e_t, e_p), nu = N / S with N = (phi, -f_t, -f_p / sin theta),
     so d psi / dc = psi_rho [c = value] + P . dN/dc, P = (psi_nu - (psi_nu . nu) nu) / S.
     psi_nu goes into frame components first, which keeps J bitwise
-    equivariant under rotations about e_z."""
+    equivariant under rotations about e_z.  Each projection is written out
+    over the three Cartesian components: numpy's sum over a trailing axis
+    of length 3 costs about five times as much."""
     g = state.grid
     frame = g.unit_vectors()
     psi_rho, psi_nu = psi.partials(frame[0], state.rho, state.nu)
-    p_z, p_t, p_p = ((psi_nu * e).sum(axis=-1) for e in frame)
+    psi_nu = np.broadcast_to(psi_nu, frame[0].shape)    # a radial psi's is the scalar 0
+    p_z, p_t, p_p = (psi_nu[..., 0] * e[..., 0] + psi_nu[..., 1] * e[..., 1]
+                     + psi_nu[..., 2] * e[..., 2] for e in frame)
     phi, ft, fp = state.phi, state.jet.d_t, state.jet.d_p / g.sin_t
     s2 = phi * phi + state.jet.grad_sq
     sroot = np.sqrt(s2)
@@ -414,13 +423,39 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
 # ---------------------------------------------------------------------------
 # damped Newton
 
+def _chord_step(model: SpaceFormModel, fieldv: ScalarField, res: np.ndarray, rnorm: float,
+                psi: Prescription, k: int, modes: "PhiModes"):
+    """(field, state, residual, margin, sup norm) of the chord step x - M^-1
+    F(x) when newton_solve keeps it (see there), else None."""
+    cf = ScalarField(fieldv.grid, fieldv.values - modes.solve(res))
+    try:
+        cstate, cres, cmargin = _evaluate(model, cf, psi, k)
+    except (GeometryError, DomainError):
+        return None
+    cnorm = float(np.abs(cres).max())
+    if cmargin >= CONE_MARGIN and cnorm < rnorm:
+        return cf, cstate, cres, cmargin, cnorm
+    return None
+
+
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
-                 k: int, opts: Optional[SolverOptions] = None):
+                 k: int, opts: Optional[SolverOptions] = None, *,
+                 modes: Optional["PhiModes"] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
     Each Newton system is solved by GMRES preconditioned by the
     phi-averaged modes M of its own Jacobian (see _linear_solve).  The
     converged report's state is the geometry of the returned field.
+
+    modes, if given, are the PhiModes of another Jacobian near this one
+    (the continuation passes its predictor's J0 for a predicted seed).
+    The first step then tries the chord step x - M^-1 F(x) (_chord_step),
+    with no Jacobian and no GMRES.  It is kept only at full length, and
+    only when the candidate stays inside (0, a), keeps cone margin >=
+    CONE_MARGIN and strictly lowers the residual sup norm.  A kept step
+    counts in iterations and in the MAX_NEWTON_ITERS budget like any
+    Newton step, and adds 0 to linear_iterations; a refused one is
+    dropped, and Newton builds J at x as it would without modes.
 
     Backtracking accepts a step only when the candidate stays strictly
     inside the radial domain, keeps the curvatures inside the cone with
@@ -449,6 +484,14 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= opts.newton_tol:
             break
+        # chord is reset on every pass, so no earlier iterate outlives its step
+        chord = None if modes is None else _chord_step(model, fieldv, res, rnorm, psi, k, modes)
+        modes = None
+        if chord is not None:
+            fieldv, state, res, margin, rnorm = chord
+            report.iterations += 1
+            report.record(rnorm, state, margin)
+            continue
         J = jacobian(model, fieldv, psi, k, state)
         try:
             delta, served = _linear_solve(J, -res.ravel(), report)
@@ -685,10 +728,15 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     already meets newton_tol at t (the round sphere), and dropped for one
     retry of the same t from the start when the predicted field leaves
     (0, a) or is not admissible (ConeBreach at Newton's seed).  Later
-    stages start Newton from the last accepted solution.  Newton corrects;
-    the report's iterations count its steps only, not the predictor, and
-    only in accepted stages: a rejected attempt's steps and matvecs go to
-    rejected_iterations and rejected_linear_iterations.
+    stages start Newton from the last accepted solution.  Newton corrects,
+    and from a predicted seed it is given J0's modes (newton_solve's
+    modes), whose chord step is its first step when it lowers the
+    residual: a kept chord step saves one Jacobian and one linear solve,
+    and a refused one costs one residual evaluation.  The report's
+    iterations count the corrector steps only, the chord step included,
+    not the predictor, and only in accepted stages: a rejected attempt's
+    steps and matvecs go to rejected_iterations and
+    rejected_linear_iterations.
 
     The first step is FIRST_STEP, the whole path; a failed step is halved
     from the t it tried, and an accepted one doubles the next, without a
@@ -746,7 +794,8 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         plain = False
         failure = None
         try:
-            solved, sub = newton_solve(model, seed, psi_t, k, opts)
+            solved, sub = newton_solve(model, seed, psi_t, k, opts,
+                                       modes=None if seed is fieldv else modes)
         except NoConvergence as exc:
             if exc.report is not None:
                 report.reject(exc.report)

@@ -543,6 +543,25 @@ def test_mesh_writer_counts(tmp_path):
     assert sum(1 for ln in lines if ln.startswith("f ")) == 7 * 16 + 2 * 16
 
 
+@pytest.mark.parametrize("nt", [8, 64, 128])
+def test_mesh_face_lines_match_percent_d(tmp_path, nt):
+    # the vertex ids reach 130, 8194 and 32770, so they cross 100 and 10^4
+    # across the grids: the face lines are the bytes of the '%d' templates
+    nphi = 2 * nt
+    g = build_grid(nt, nphi)
+    write_mesh(tmp_path / "m.obj", g, np.ones(g.shape))
+    text = (tmp_path / "m.obj").read_bytes()
+    vid = lambda i, j: i * nphi + j % nphi + 1
+    quads = [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
+             for i in range(nt - 1) for j in range(nphi)]
+    caps = []
+    for j in range(nphi):
+        caps += [(nt * nphi + 1, vid(0, j), vid(0, j + 1)),
+                 (nt * nphi + 2, vid(nt - 1, j + 1), vid(nt - 1, j))]
+    faces = "".join(["f %d %d %d %d\n" % q for q in quads] + ["f %d %d %d\n" % c for c in caps])
+    assert text[text.index(b"\nf ") + 1:] == faces.encode()
+
+
 def _node_table_by_value(state, res) -> str:
     # reference writer: one format call per value
     tt, pp = state.grid.mesh()
@@ -705,12 +724,14 @@ def test_tilted_solve_leaves_out_scipy(tmp_path):
 
 
 def test_solve_exit_3_writes_last_good_state(tmp_path, monkeypatch, capsys):
-    # with a budget of one Newton step, from the tangent predictor one
-    # iteration reaches t = 1/64, the sixth halving of the full step; past
-    # that first stage one iteration is never enough, so the continuation
-    # stalls there, below a least step of 0.01, and reports it honestly
-    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
-    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.01)
+    # with a budget of two corrector steps (the chord step on the
+    # predictor's modes, then one Newton step), the first stage fails from
+    # t = 1 down to 1/4 and is accepted at t = 1/8; past it, two Newton
+    # steps are not enough at 3/8, 1/4 or 3/16, and the next halved step,
+    # 1/32, is below a least step of 0.05: the continuation stalls at 1/8
+    # and reports it honestly
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
+    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.05)
     body = """
 model.K = 0
 grid.n_theta = 16
@@ -728,12 +749,12 @@ psi.axis_z = 1.0
     assert "homotopy stalled" in capsys.readouterr().err
     report = read_report(tmp_path / "report.txt")
     assert report["converged"] == "false"
-    assert float(report["homotopy_t_final"]) == 0.015625
-    # the accepted stage's one step counts as iterations; the one step of
-    # each of the 8 failed attempts (t = 1 .. 1/32, then 3/64 and 1/32
-    # after the stage) counts as rejected work
-    assert report["iterations"] == "1"
-    assert report["rejected_iterations"] == "8"
+    assert float(report["homotopy_t_final"]) == 0.125
+    # the accepted stage's two steps count as iterations; the two steps of
+    # each of the 6 failed attempts (t = 1, 1/2, 1/4, then 3/8, 1/4 and
+    # 3/16 after the stage) count as rejected work
+    assert report["iterations"] == "2"
+    assert report["rejected_iterations"] == "12"
     assert report["rejected_linear_iterations"] == "0"
     # artifacts exist for the last good iterate
     cols = read_node_table(tmp_path / "nodes.csv")

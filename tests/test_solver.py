@@ -1,4 +1,5 @@
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,54 @@ def test_closed_form_jacobian_matches_finite_differences(nt, nphi, K, r_bar, k):
     ref = _fd_jacobian(m, f, psi, k)
     # the nine columns of a row are distinct nodes, so the weights are the entries
     assert np.abs(J.data - ref.data).max() <= 1e-8 * np.abs(ref.data).max()
+
+
+def _psi_linearized_trailing_axis(state, psi):
+    # reference: the frame projections as reductions over the trailing axis
+    g = state.grid
+    frame = g.unit_vectors()
+    psi_rho, psi_nu = psi.partials(frame[0], state.rho, state.nu)
+    p_z, p_t, p_p = ((psi_nu * e).sum(axis=-1) for e in frame)
+    phi, ft, fp = state.phi, state.jet.d_t, state.jet.d_p / g.sin_t
+    s2 = phi * phi + state.jet.grad_sq
+    sroot = np.sqrt(s2)
+    a = (p_z * phi - p_t * ft - p_p * fp) / s2
+    return [psi_rho + state.dphi * (p_z - a * phi) / sroot,
+            -(p_t + a * ft) / sroot,
+            -(p_p + a * fp) / (sroot * g.sin_t)]
+
+
+@pytest.mark.parametrize("nt", [16, 64])
+def test_component_wise_kernels_match_trailing_axis_formulas_bitwise(nt):
+    # a field and a psi that depend on phi, about a tilted axis, so that no
+    # vector component is zero: the component-wise sums, the unit normal and
+    # the anisotropic partials are bitwise those of the (..., 3) formulas
+    m = spaceform(0)
+    g = build_grid(nt, 2 * nt)
+    f = field_from_function(g, lambda tt, pp: 1.0 + 0.03 * np.cos(tt)
+                            + 0.02 * np.sin(tt) * np.cos(pp))
+    state = solver.assemble(m, f)
+    psi = _tilted_blend(m, 2, 1.0)
+    for new, old in zip(solver._psi_linearized(state, psi),
+                        _psi_linearized_trailing_axis(state, psi)):
+        assert new.tobytes() == old.tobytes()
+
+    z, e_t, e_p = g.unit_vectors()
+    jet = state.jet
+    nu = (1.0 / np.sqrt(state.phi ** 2 + jet.grad_sq))[..., None] * (
+        -jet.d_t[..., None] * e_t - (jet.d_p / g.sin_t)[..., None] * e_p
+        + state.phi[..., None] * z)
+    assert state.nu.tobytes() == nu.tobytes()
+
+    base = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    aniso = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=TILTED_AXIS)
+    axis = np.asarray(aniso.params["axis"])
+    tilt = 1.0 + 0.2 * (state.nu @ axis)
+    b_rho, b_nu = base.partials(z, state.rho, state.nu)
+    psi_rho, psi_nu = aniso.partials(z, state.rho, state.nu)
+    assert psi_rho.tobytes() == (b_rho * tilt).tobytes()
+    assert psi_nu.tobytes() == (b_nu * tilt[..., None] + 0.2 * np.multiply.outer(
+        base(z, state.rho, state.nu), axis)).tobytes()
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.6)])
@@ -730,14 +779,15 @@ def test_phi_modes_det_sign_matches_dense_slogdet_at_damped_solutions(grid16):
 
 
 def test_continuation_counts_the_work_of_failed_stage_attempts(grid16, monkeypatch):
-    # with a budget of one Newton step and the default newton_tol, each
-    # attempt from t = 1 down to 1/32 fails, t = 1/64 is accepted, and 3/64
-    # and 1/32 fail before the run stalls.  The tilted axis gives each
+    # with a budget of two corrector steps (the chord step, then one Newton
+    # step) and the default newton_tol, each attempt from t = 1 down to 1/4
+    # fails, t = 1/8 is accepted, and 3/8, 1/4 and 3/16 fail before the run
+    # stalls below a least step of 0.05.  The tilted axis gives each Newton
     # system GMRES matvecs: the accepted stages' work stays in iterations
     # and linear_iterations, the failed attempts' goes to the rejected
     # counters, and together they count every matvec
-    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
-    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.01)
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 2)
+    monkeypatch.setattr(solver, "MIN_HOMOTOPY_STEP", 0.05)
     matvecs = []
     real_cycle = solver._gmres_cycle
 
@@ -753,14 +803,14 @@ def test_continuation_counts_the_work_of_failed_stage_attempts(grid16, monkeypat
     with pytest.raises(NoConvergence, match="homotopy stalled") as info:
         continuity_solve(m, grid16, psi, 2, SolverOptions())
     report = info.value.report
-    assert report.homotopy_t == [0.0, 0.015625]
-    assert report.iterations == 1
-    assert report.rejected_iterations == 8
+    assert report.homotopy_t == [0.0, 0.125]
+    assert report.iterations == 2
+    assert report.rejected_iterations == 12
     assert report.linear_iterations > 0 and report.rejected_linear_iterations > 0
     assert report.linear_iterations + report.rejected_linear_iterations == sum(matvecs)
     summary = report.summary()
     assert (summary["rejected_iterations"], summary["rejected_linear_iterations"]) == (
-        8, report.rejected_linear_iterations)
+        12, report.rejected_linear_iterations)
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
@@ -999,6 +1049,91 @@ def test_continuation_assembles_only_the_iterates_newton_evaluates(grid16, monke
     _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
     assert report.iterations > 0
     assert counts["assemble"] == counts["evaluate"]
+
+
+def _count_jacobians(monkeypatch):
+    calls = []
+    real = solver.jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "jacobian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_first_corrector_step_reuses_the_predictor_modes(K, grid16, monkeypatch):
+    # the first corrector step is the chord step on the predictor's modes of
+    # J0: the continuation builds J0 and then two Newton Jacobians, against
+    # J0 and three when the chord step is refused, and both reach the same
+    # field in the same three corrector steps
+    m = spaceform(K)
+    psi = _aniso_target(m)
+    jacobians = _count_jacobians(monkeypatch)
+    f_chord, rep_chord = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert len(jacobians) == 3
+    jacobians.clear()
+    monkeypatch.setattr(solver, "_chord_step", lambda *args: None)
+    f_newton, rep_newton = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert len(jacobians) == 4
+    assert rep_chord.homotopy_t == rep_newton.homotopy_t == [0.0, 1.0]
+    assert rep_chord.iterations == rep_newton.iterations == 3
+    assert rep_chord.linear_iterations == 0
+    assert np.abs(f_chord.values - f_newton.values).max() < 1e-12
+
+
+def test_kept_chord_step_frees_its_iterate_after_the_next_step(grid16, monkeypatch):
+    # the chord step's geometry is alive while Newton builds J at its field
+    # and gone by the next Jacobian: a kept chord step holds no iterate
+    # longer than a Newton step does
+    m = spaceform(0)
+    refs, alive = [], []
+    real_chord, real_jacobian = solver._chord_step, solver.jacobian
+
+    def chord(*args):
+        out = real_chord(*args)
+        refs.append(weakref.ref(out[1]))
+        return out
+
+    def jac(*args):
+        alive.append([ref() is not None for ref in refs])
+        return real_jacobian(*args)
+
+    monkeypatch.setattr(solver, "_chord_step", chord)
+    monkeypatch.setattr(solver, "jacobian", jac)
+    continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
+    assert alive == [[], [True], [False]]
+
+
+def test_refused_chord_step_leaves_the_newton_path_bitwise(grid16, monkeypatch):
+    # K = +1, r_bar = 0.8: the chord step raises the residual sup norm, so
+    # it is refused, and Newton runs from the predicted seed exactly as a
+    # solve that was given no modes
+    m = spaceform(1)
+    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    outcomes = []
+    real_chord = solver._chord_step
+
+    def chord(*args):
+        out = real_chord(*args)
+        outcomes.append(out)
+        return out
+
+    monkeypatch.setattr(solver, "_chord_step", chord)
+    f_chord, rep_chord = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert outcomes == [None]
+    real_newton = solver.newton_solve
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda *args, modes=None: real_newton(*args))
+    f_plain, rep_plain = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert outcomes == [None]
+    assert f_chord.values.tobytes() == f_plain.values.tobytes()
+    assert rep_chord.residual_trace == rep_plain.residual_trace
+    assert rep_chord.iterations == rep_plain.iterations
+    assert rep_chord.branch_index == rep_plain.branch_index
 
 
 def test_continuation_reports_factorizations_and_sweeps(grid16):
