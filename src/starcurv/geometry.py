@@ -1,12 +1,14 @@
 """Induced geometry of a radial graph over the sphere.
 
 From a height field rho the hypersurface {(z, rho(z))} inherits, per node:
-the induced metric g, its inverse, the second fundamental form h taken
-with respect to the outward normal, the principal curvatures (the
-eigenvalues of the Weingarten map g^{-1} h), the support function u, and
-the chart-embedded unit normal.  Component
-conventions: symmetric 2x2 tensors are stored as the (tt, tp, pp) triple
-of coordinate components on the (theta, phi) chart.
+the induced metric g, the second fundamental form h taken with respect to
+the outward normal, the principal curvatures (the eigenvalues of the
+Weingarten map g^{-1} h), the support function u, and the chart-embedded
+unit normal.  The inverse metric is derived from g on each read, not
+stored: a solve reads it only inside assemble, and the diagnostics below
+read it through GeometryState's ginv properties.  Component conventions:
+symmetric 2x2 tensors are stored as the (tt, tp, pp) triple of coordinate
+components on the (theta, phi) chart.
 
 The *_identity_residual functions are discrete diagnostics: they compare
 independent finite-difference evaluations of both sides of structural
@@ -40,9 +42,6 @@ class GeometryState:
     g_tt: np.ndarray
     g_tp: np.ndarray
     g_pp: np.ndarray
-    ginv_tt: np.ndarray
-    ginv_tp: np.ndarray
-    ginv_pp: np.ndarray
     h_tt: np.ndarray
     h_tp: np.ndarray
     h_pp: np.ndarray
@@ -50,6 +49,24 @@ class GeometryState:
     kappa2: np.ndarray
     u: np.ndarray                   # support function
     nu: np.ndarray                  # (nt, nphi, 3) chart-embedded unit normal
+
+    @property
+    def det_g(self):
+        return self.g_tt * self.g_pp - self.g_tp * self.g_tp
+
+    # the inverse metric, built from g on each read with pointwise_geometry's
+    # formulas, so bitwise the values it used
+    @property
+    def ginv_tt(self):
+        return self.g_pp / self.det_g
+
+    @property
+    def ginv_tp(self):
+        return -self.g_tp / self.det_g
+
+    @property
+    def ginv_pp(self):
+        return self.g_tt / self.det_g
 
     @property
     def kappa(self):
@@ -74,6 +91,25 @@ def assemble(model: SpaceFormModel, field: ScalarField, order: int = 2) -> Geome
     input field, not of an inadmissible but valid geometry).
     """
     return pointwise_geometry(model, field.grid, covariant_jet(field, order=order))
+
+
+def _principal_curvatures(g: SphereGrid, det_g, g_tt, g_tp, g_pp, h_tt, h_tp, h_pp):
+    """The eigenvalues (kappa1 >= kappa2) of the Weingarten map A = g^{-1} h,
+    real because g is positive definite and h symmetric.  The inverse metric
+    and A are temporaries of this call, freed when it returns."""
+    ginv_tt = g_pp / det_g
+    ginv_tp = -g_tp / det_g
+    ginv_pp = g_tt / det_g
+    a_11 = ginv_tt * h_tt + ginv_tp * h_tp
+    a_12 = ginv_tt * h_tp + ginv_tp * h_pp
+    a_21 = ginv_tp * h_tt + ginv_pp * h_tp
+    a_22 = ginv_tp * h_tp + ginv_pp * h_pp
+    for arr in (a_11, a_12, a_21, a_22):
+        _screen_finite(g, "shape operator", arr)
+
+    mean = 0.5 * (a_11 + a_22)
+    disc = np.sqrt(np.maximum((0.5 * (a_11 - a_22)) ** 2 + a_12 * a_21, 0.0))
+    return mean + disc, mean - disc
 
 
 def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
@@ -101,9 +137,6 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     det_g = g_tt * g_pp - g_tp * g_tp
     if np.any(det_g <= 0.0) or np.any(g_tt <= 0.0):
         raise GeometryError("induced metric lost positive-definiteness")
-    ginv_tt = g_pp / det_g
-    ginv_tp = -g_tp / det_g
-    ginv_pp = g_tt / det_g
 
     pref = phi / sroot
     two_q = 2.0 * dphi / phi
@@ -112,20 +145,7 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     h_pp = pref * (-jet.hess_pp + two_q * dp * dp + phi * dphi * st2)
     for arr in (h_tt, h_tp, h_pp):
         _screen_finite(g, "second fundamental form", arr)
-
-    # Weingarten map A = g^{-1} h; its eigenvalues are real because g is
-    # positive definite and h symmetric.
-    a_11 = ginv_tt * h_tt + ginv_tp * h_tp
-    a_12 = ginv_tt * h_tp + ginv_tp * h_pp
-    a_21 = ginv_tp * h_tt + ginv_pp * h_tp
-    a_22 = ginv_tp * h_tp + ginv_pp * h_pp
-    for arr in (a_11, a_12, a_21, a_22):
-        _screen_finite(g, "shape operator", arr)
-
-    mean = 0.5 * (a_11 + a_22)
-    disc = np.sqrt(np.maximum((0.5 * (a_11 - a_22)) ** 2 + a_12 * a_21, 0.0))
-    kappa1 = mean + disc
-    kappa2 = mean - disc
+    kappa1, kappa2 = _principal_curvatures(g, det_g, g_tt, g_tp, g_pp, h_tt, h_tp, h_pp)
 
     u = phi * phi / sroot
 
@@ -140,7 +160,6 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
 
     return GeometryState(grid=g, rho=rho, jet=jet, phi=phi, dphi=dphi, pot=pot,
                          g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
-                         ginv_tt=ginv_tt, ginv_tp=ginv_tp, ginv_pp=ginv_pp,
                          h_tt=h_tt, h_tp=h_tp, h_pp=h_pp,
                          kappa1=kappa1, kappa2=kappa2, u=u, nu=nu)
 

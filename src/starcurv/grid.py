@@ -267,9 +267,10 @@ class StencilOperator:
     the nine shifted-slice products up in offset order, which is the matvec
     of the CSR matrix whose row (i, j) holds data[i, j] in that order,
     bitwise.  x is a field of the grid's shape or flat over its nodes, and
-    so is op @ x.  abs(op) has the weights |data|.  tocsc() is that matrix,
-    the tests' reference for dense and sparse direct solves; no solve
-    calls it, and it imports scipy.sparse on first call.
+    so is op @ x.  abs(op) has the weights |data|; op.abs_matvec(x) is
+    abs(op) @ x, bitwise, with no second weight table.  tocsc() is that
+    matrix, the tests' reference for dense and sparse direct solves; no
+    solve calls it, and it imports scipy.sparse on first call.
     """
 
     grid: SphereGrid
@@ -282,12 +283,19 @@ class StencilOperator:
         h = halo(self.grid, np.reshape(x, self.grid.shape))
         return [h[1 + di:1 + di + nt, 1 + dj:1 + dj + n_p] for di, dj in OFFSETS]
 
-    def __matmul__(self, x):
+    def _combine(self, x, weight):
+        """sum over o of weight(data[..., o]) * tap o of x, in offset order."""
         taps = self._taps(x)
-        y = self.data[..., 0] * taps[0]
+        y = weight(self.data[..., 0]) * taps[0]
         for o in range(1, len(OFFSETS)):
-            y += self.data[..., o] * taps[o]
+            y += weight(self.data[..., o]) * taps[o]
         return y.reshape(np.shape(x))
+
+    def __matmul__(self, x):
+        return self._combine(x, lambda w: w)
+
+    def abs_matvec(self, x):
+        return self._combine(x, np.abs)
 
     def __abs__(self):
         return StencilOperator(self.grid, np.abs(self.data))

@@ -29,10 +29,16 @@ skipped when the start already meets newton_tol at t, and dropped for
 one retry from the start when its field leaves (0, a) or is not
 admissible; later stages start from the last solution.  The first
 corrector step from a predicted seed reuses J0's modes: the chord step
-seed - J0^-1 F(seed; psi_t), kept only at full length when it stays
-admissible and lowers the residual sup norm, builds no Jacobian; every
-other Newton system is solved afresh, and nothing else is held from one
-system to the next.  A report's iterations count corrector steps (chord
+seed - J0^-1 F(seed; psi_t) builds no Jacobian.  It is refused unevaluated
+when it is not shorter than the predictor's step (simplified Newton's
+monotonicity test), and otherwise kept only at full length when it stays
+admissible and lowers the residual sup norm.  Every other Newton system
+is solved afresh, and nothing else is held from one system to the next.
+A node array is held only while something reads it: J is filled into one
+(n_theta, n_phi, 9) buffer, one dF/dc at a time, and dropped once its
+system is solved, before the line search; the start's geometry is
+dropped once J0's modes exist, and a later attempt from the start
+assembles it again.  A report's iterations count corrector steps (chord
 and Newton) only, not the predictor.  A stage whose Newton
 solve damped a step must also keep the branch index, the sign of det J,
 of the radial start: that sign is the local Leray-Schauder index of an
@@ -232,7 +238,7 @@ def residual(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
 # Jacobian by the chain rule through the 2-jet
 
 def _sigma_linearized(K: int, state: GeometryState, k: int):
-    """sigma_k and its derivatives in the six raw jet components, per node.
+    """sigma_k's derivatives in the six raw jet components, per node.
 
     With S = sqrt(phi^2 + |grad f|^2), P = phi / S and q = phi' / phi,
     h = P B where B_ij = -H_ij + 2 q f_i f_j + phi phi' e_ij and
@@ -243,7 +249,8 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
         d sigma_k / dc = k sigma_k dlogP/dc + P a_ij dB_ij/dc + b_ij dg_ij/dc,
 
     with one table row (dlogP, dB, dg) per component c; phi'' = -K phi,
-    so q' = -K - q^2.  Returns [d sigma_k / dc for each c].
+    so q' = -K - q^2.  Yields d sigma_k / dc for each c in turn: each row
+    of the table is built only when its component is asked for.
     """
     if k not in (1, 2):
         raise ValueError(f"degree k={k} outside 1..2")
@@ -254,7 +261,7 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
     ft, fp, w = state.jet.d_t, state.jet.d_p, state.jet.grad_sq
     g_tt, g_tp, g_pp = state.g_tt, state.g_tp, state.g_pp
     h_tt, h_tp, h_pp = state.h_tt, state.h_tp, state.h_pp
-    det_g = g_tt * g_pp - g_tp * g_tp
+    det_g = state.det_g
     if k == 2:
         sk = (h_tt * h_pp - h_tp * h_tp) / det_g
         a = (h_pp / det_g, -2.0 * h_tp / det_g, h_tt / det_g)
@@ -266,29 +273,34 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
              (h_tt - sk * g_tt) / det_g)
 
     s2 = phi * phi + w
-    pa = tuple(phi / np.sqrt(s2) * a_ij for a_ij in a)
+    p = phi / np.sqrt(s2)
+    coefs = tuple(p * a_ij for a_ij in a) + b
+    del det_g, a, p
+    ksk = k * sk
     q = dphi / phi
     dq = -K - q * q
     de = dphi * dphi - K * phi * phi
     dgv = 2.0 * phi * dphi
-    # (dlogP, dB_tt, dB_tp, dB_pp, dg_tt, dg_tp, dg_pp); None for a zero
-    table = (
-        (q * w / s2, 2.0 * dq * ft * ft + de, 2.0 * dq * ft * fp, 2.0 * dq * fp * fp + de * st2,
-         dgv, None, dgv * st2),
-        (-ft / s2, 4.0 * q * ft, 2.0 * q * fp, -st * ct, 2.0 * ft, fp, None),
-        (-fp / (st2 * s2), None, ct / st + 2.0 * q * ft, 4.0 * q * fp, None, ft, 2.0 * fp),
-        (None, -1.0, None, None, None, None, None),
-        (None, None, -1.0, None, None, None, None),
-        (None, None, None, -1.0, None, None, None),
-    )
-    ksk = k * sk
-    out = []
-    for dlogp, *rest in table:
-        terms = [c * d for c, d in zip(pa + b, rest) if d is not None]
-        if dlogp is not None:
-            terms.insert(0, ksk * dlogp)
-        out.append(sum(terms[1:], terms[0]))
-    return out
+
+    def row(dlogp, *dbg):
+        """k sigma_k dlogP + (P a, b) . (dB_tt, dB_tp, dB_pp, dg_tt, dg_tp,
+        dg_pp), the terms added in that order; None for a zero."""
+        out = None if dlogp is None else ksk * dlogp
+        for c, d in zip(coefs, dbg):
+            if d is not None:
+                if out is None:
+                    out = c * d
+                else:
+                    out += c * d
+        return out
+
+    yield row(q * w / s2, 2.0 * dq * ft * ft + de, 2.0 * dq * ft * fp,
+              2.0 * dq * fp * fp + de * st2, dgv, None, dgv * st2)
+    yield row(-ft / s2, 4.0 * q * ft, 2.0 * q * fp, -st * ct, 2.0 * ft, fp, None)
+    yield row(-fp / (st2 * s2), None, ct / st + 2.0 * q * ft, 4.0 * q * fp, None, ft, 2.0 * fp)
+    yield row(None, -1.0, None, None)
+    yield row(None, None, -1.0, None)
+    yield row(None, None, None, -1.0)
 
 
 def _psi_linearized(state: GeometryState, psi: Prescription):
@@ -326,21 +338,23 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     and f_p components only (_psi_linearized), since rho and nu read no
     second derivative.  D_c are the grid's jet stencils (jet_weights),
     which share one 9-point footprint, so J's weights at each node are
-    theirs combined with that node's dF/dc.
+    theirs combined with that node's dF/dc.  Each w[o] dF/dc is added into
+    one zeroed (n_theta, n_phi, 9) array, c in order, and each dF/dc is
+    dropped before the next one is built.
     """
     g = fieldv.grid
     if state is None:
         state = assemble(model, fieldv)
-    dfdc = _sigma_linearized(model.K, state, k)
-    dpsi = [] if psi is None else _psi_linearized(state, psi)
-    for c, d in enumerate(dpsi):
-        dfdc[c] = dfdc[c] - d
     weights = jet_weights(g)
-    planes = np.zeros((weights.shape[1],) + g.shape)     # one offset at a time, contiguous
-    for w, d in zip(weights, dfdc):
+    data = np.zeros(g.shape + (weights.shape[1],))
+    dpsi = [] if psi is None else _psi_linearized(state, psi)
+    for w, d in zip(weights, _sigma_linearized(model.K, state, k)):
+        if dpsi:
+            d = d - dpsi.pop(0)
         for o in np.flatnonzero(w):
-            planes[o] += w[o] * d
-    return StencilOperator(g, np.ascontiguousarray(np.moveaxis(planes, 0, -1)))
+            data[..., o] += w[o] * d
+        del d                       # before the next dF/dc is built
+    return StencilOperator(g, data)
 
 
 # The linear solve stops once |b - Jx|_inf <= max(REFINE_TOL |b|_inf,
@@ -409,7 +423,7 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
         rnorm = np.abs(r).max()
         if not rnorm < last:
             raise NoConvergence("linear solve failed: singular Jacobian")
-        if rnorm <= tol or rnorm <= (floor := REFINE_FLOOR * (abs(J) @ np.abs(x)).max()):
+        if rnorm <= tol or rnorm <= (floor := REFINE_FLOOR * J.abs_matvec(np.abs(x)).max()):
             return x, modes
         if cycle == GMRES_MAX_CYCLES:
             raise NoConvergence(f"linear solve failed: residual {rnorm!r} after "
@@ -424,10 +438,15 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
 # damped Newton
 
 def _chord_step(model: SpaceFormModel, fieldv: ScalarField, res: np.ndarray, rnorm: float,
-                psi: Prescription, k: int, modes: "PhiModes"):
+                psi: Prescription, k: int, modes: "PhiModes", step0: float):
     """(field, state, residual, margin, sup norm) of the chord step x - M^-1
-    F(x) when newton_solve keeps it (see there), else None."""
-    cf = ScalarField(fieldv.grid, fieldv.values - modes.solve(res))
+    F(x) when newton_solve keeps it (see there), else None.  A step whose
+    sup norm is not below step0, the predictor's, is refused before its
+    field is evaluated."""
+    step = modes.solve(res)
+    if not np.abs(step).max() < step0:
+        return None
+    cf = ScalarField(fieldv.grid, fieldv.values - step)
     try:
         cstate, cres, cmargin = _evaluate(model, cf, psi, k)
     except (GeometryError, DomainError):
@@ -440,17 +459,24 @@ def _chord_step(model: SpaceFormModel, fieldv: ScalarField, res: np.ndarray, rno
 
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  k: int, opts: Optional[SolverOptions] = None, *,
-                 modes: Optional["PhiModes"] = None):
+                 modes: Optional[tuple] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
     Each Newton system is solved by GMRES preconditioned by the
-    phi-averaged modes M of its own Jacobian (see _linear_solve).  The
-    converged report's state is the geometry of the returned field.
+    phi-averaged modes M of its own Jacobian (see _linear_solve).  J is
+    dropped as soon as that solve returns, so no two Jacobians coexist and
+    none lives next to a line-search geometry.  The converged report's
+    state is the geometry of the returned field.
 
-    modes, if given, are the PhiModes of another Jacobian near this one
-    (the continuation passes its predictor's J0 for a predicted seed).
-    The first step then tries the chord step x - M^-1 F(x) (_chord_step),
-    with no Jacobian and no GMRES.  It is kept only at full length, and
+    modes, if given, is a pair (M, d0): the PhiModes of another Jacobian
+    near this one and the sup norm of a step it solved (the continuation
+    passes its predictor's J0 and the predictor's step M^-1 F(start; psi_t)
+    for a predicted seed).  The first step then tries the chord step x -
+    M^-1 F(x) (_chord_step), with no Jacobian and no GMRES.  It is refused
+    unless |M^-1 F(x)|_inf < d0, before its field is evaluated: that is
+    the monotonicity test Theta < 1 of simplified Newton (Deuflhard,
+    Newton Methods for Nonlinear Problems, 2004, sec. 2.1), with no
+    constant to tune.  Past it, the step is kept only at full length, and
     only when the candidate stays inside (0, a), keeps cone margin >=
     CONE_MARGIN and strictly lowers the residual sup norm.  A kept step
     counts in iterations and in the MAX_NEWTON_ITERS budget like any
@@ -485,16 +511,20 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
         if rnorm <= opts.newton_tol:
             break
         # chord is reset on every pass, so no earlier iterate outlives its step
-        chord = None if modes is None else _chord_step(model, fieldv, res, rnorm, psi, k, modes)
+        chord = None if modes is None else _chord_step(model, fieldv, res, rnorm, psi, k, *modes)
         modes = None
         if chord is not None:
             fieldv, state, res, margin, rnorm = chord
             report.iterations += 1
             report.record(rnorm, state, margin)
             continue
-        J = jacobian(model, fieldv, psi, k, state)
         try:
-            delta, served = _linear_solve(J, -res.ravel(), report)
+            # J is referenced by _linear_solve alone, and freed when it returns;
+            # of its modes only the sign of their determinant is kept
+            delta, served = _linear_solve(jacobian(model, fieldv, psi, k, state), -res.ravel(),
+                                          report)
+            sign = served.det_sign()
+            del served
         except NoConvergence as exc:
             raise NoConvergence(str(exc), field=fieldv, report=report) from None
         delta = delta.reshape(fieldv.grid.shape)
@@ -524,6 +554,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             raise NoConvergence(
                 f"line search stalled at residual {rnorm!r}",
                 field=fieldv, report=report)
+        del delta                   # read by the line search only
         damped = damped or alpha < 1.0
         report.iterations += 1
         report.record(rnorm, state, margin)
@@ -536,7 +567,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     report.message = "converged"
     report.state = state
     if damped:
-        report.branch_index = served.det_sign()
+        report.branch_index = sign
     return fieldv, report
 
 
@@ -680,7 +711,9 @@ class PhiModes:
     def __init__(self, J: StencilOperator):
         grid = J.grid
         # sum_d C(d) w^(md) of a real C is the conjugate of numpy's forward FFT
-        sub, diag, sup = np.conj(rfft(_phi_bands(J), axis=-1))
+        bands = rfft(_phi_bands(J), axis=-1)
+        sub, diag, sup = np.conj(bands, out=bands)
+        sub = sub.copy()                                    # diag and sup are not kept
         piv = np.empty_like(diag)
         ratio = np.empty_like(sup[:-1])                     # sup_i / piv_i
         piv[0] = diag[0]
@@ -727,12 +760,17 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     mode by mode, with no LU.  The predictor is skipped when the start
     already meets newton_tol at t (the round sphere), and dropped for one
     retry of the same t from the start when the predicted field leaves
-    (0, a) or is not admissible (ConeBreach at Newton's seed).  Later
-    stages start Newton from the last accepted solution.  Newton corrects,
-    and from a predicted seed it is given J0's modes (newton_solve's
-    modes), whose chord step is its first step when it lowers the
-    residual: a kept chord step saves one Jacobian and one linear solve,
-    and a refused one costs one residual evaluation.  The report's
+    (0, a) or is not admissible (ConeBreach at Newton's seed).  The start's
+    geometry, from the t = 0 solve, serves the predictor's residual and
+    J0 and is dropped once J0's modes exist; an attempt of the first stage
+    after that (a retry at a halved t) assembles it again.  Later stages
+    start Newton from the last accepted solution.  Newton corrects, and
+    from a predicted seed it is given J0's modes and the sup norm of the
+    predictor's step (newton_solve's modes), whose chord step is its first
+    step when it is shorter than the predictor's and lowers the residual:
+    a kept chord step saves one Jacobian and one linear solve, one refused
+    by its length costs one mode solve, and one refused after evaluation
+    costs one residual evaluation.  The report's
     iterations count the corrector steps only, the chord step included,
     not the predictor, and only in accepted stages: a rejected attempt's
     steps and matvecs go to rejected_iterations and
@@ -770,7 +808,10 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     # A Newton solve that returns after no step returns its seed, so the
     # iterate leaves the start only through a stage that took steps from
     # it, and every such stage built modes first: a damped stage finds them.
+    # The start's geometry is held only until J0's modes exist; a later
+    # attempt from the start assembles it again.
     start, start_state = fieldv, sub.state
+    del sub
     modes = None
     plain = False          # the next attempt starts Newton at the start itself
     while t < 1.0:
@@ -778,24 +819,27 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
         if 1.0 - t_next < MIN_HOMOTOPY_STEP:
             t_next = 1.0
         psi_t = psi0.blend(psi_target, t_next)
-        seed = fieldv
+        seed, chord = fieldv, None
         if fieldv is start and not plain:
+            if start_state is None:
+                start_state = assemble(model, start)
             _, res, _ = _residual_of(start_state, psi_t, k)
             if not np.abs(res).max() <= opts.newton_tol:
                 if modes is None:
                     modes = PhiModes(jacobian(model, start, psi0, k, start_state))
-                values = start.values - modes.solve(res)
+                start_state = None
+                step = modes.solve(res)
+                values = start.values - step
                 try:
                     model.check_domain(values)
                 except DomainError:
                     plain = True
                     continue
-                seed = ScalarField(grid, values)
+                seed, chord = ScalarField(grid, values), (modes, float(np.abs(step).max()))
         plain = False
         failure = None
         try:
-            solved, sub = newton_solve(model, seed, psi_t, k, opts,
-                                       modes=None if seed is fieldv else modes)
+            solved, sub = newton_solve(model, seed, psi_t, k, opts, modes=chord)
         except NoConvergence as exc:
             if exc.report is not None:
                 report.reject(exc.report)

@@ -74,6 +74,32 @@ def test_metric_inverse_matches_sherman_morrison_form():
     assert np.abs(state.ginv_pp - alt_pp).max() < 1e-10
 
 
+@pytest.mark.parametrize("K", ALL_K)
+def test_derived_inverse_metric_and_curvatures_match_the_stored_formulas_bitwise(K):
+    # the state stores no inverse metric: ginv_* are built from g on each
+    # read, bitwise the arrays assemble once stored, and the principal
+    # curvatures are those of the Weingarten map written out with them
+    m = spaceform(K)
+    g = build_grid(16, 32)
+    r = radius_for(K)
+    f = field_from_function(g, lambda tt, pp: r * (1.0 + 0.1 * np.cos(tt)
+                                                   + 0.05 * np.sin(tt) * np.sin(pp)))
+    s = assemble(m, f)
+    det_g = s.g_tt * s.g_pp - s.g_tp * s.g_tp
+    ginv_tt, ginv_tp, ginv_pp = s.g_pp / det_g, -s.g_tp / det_g, s.g_tt / det_g
+    assert s.ginv_tt.tobytes() == ginv_tt.tobytes()
+    assert s.ginv_tp.tobytes() == ginv_tp.tobytes()
+    assert s.ginv_pp.tobytes() == ginv_pp.tobytes()
+    a_11 = ginv_tt * s.h_tt + ginv_tp * s.h_tp
+    a_12 = ginv_tt * s.h_tp + ginv_tp * s.h_pp
+    a_21 = ginv_tp * s.h_tt + ginv_pp * s.h_tp
+    a_22 = ginv_tp * s.h_tp + ginv_pp * s.h_pp
+    mean = 0.5 * (a_11 + a_22)
+    disc = np.sqrt(np.maximum((0.5 * (a_11 - a_22)) ** 2 + a_12 * a_21, 0.0))
+    assert s.kappa1.tobytes() == (mean + disc).tobytes()
+    assert s.kappa2.tobytes() == (mean - disc).tobytes()
+
+
 def test_shape_matrix_eigenvalues_match_g_inv_h():
     # independent reference: numpy's eigenvalues of the 2x2 g^{-1} h
     m = spaceform(0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -170,6 +171,81 @@ def test_component_wise_kernels_match_trailing_axis_formulas_bitwise(nt):
     assert psi_rho.tobytes() == (b_rho * tilt).tobytes()
     assert psi_nu.tobytes() == (b_nu * tilt[..., None] + 0.2 * np.multiply.outer(
         base(z, state.rho, state.nu), axis)).tobytes()
+
+
+def _sigma_linearized_table(K, state, k):
+    # reference: the whole (dlogP, dB, dg) table of every component at once,
+    # P = phi / S recomputed per a_ij, each row added up by sum()
+    g = state.grid
+    st, ct = g.sin_t, g.cos_t
+    st2 = st * st
+    phi, dphi = state.phi, state.dphi
+    ft, fp, w = state.jet.d_t, state.jet.d_p, state.jet.grad_sq
+    g_tt, g_tp, g_pp = state.g_tt, state.g_tp, state.g_pp
+    h_tt, h_tp, h_pp = state.h_tt, state.h_tp, state.h_pp
+    det_g = g_tt * g_pp - g_tp * g_tp
+    if k == 2:
+        sk = (h_tt * h_pp - h_tp * h_tp) / det_g
+        a = (h_pp / det_g, -2.0 * h_tp / det_g, h_tt / det_g)
+        b = (-sk * g_pp / det_g, 2.0 * sk * g_tp / det_g, -sk * g_tt / det_g)
+    else:
+        sk = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det_g
+        a = (g_pp / det_g, -2.0 * g_tp / det_g, g_tt / det_g)
+        b = ((h_pp - sk * g_pp) / det_g, 2.0 * (sk * g_tp - h_tp) / det_g,
+             (h_tt - sk * g_tt) / det_g)
+    s2 = phi * phi + w
+    pa = tuple(phi / np.sqrt(s2) * a_ij for a_ij in a)
+    q = dphi / phi
+    dq = -K - q * q
+    de = dphi * dphi - K * phi * phi
+    dgv = 2.0 * phi * dphi
+    table = (
+        (q * w / s2, 2.0 * dq * ft * ft + de, 2.0 * dq * ft * fp, 2.0 * dq * fp * fp + de * st2,
+         dgv, None, dgv * st2),
+        (-ft / s2, 4.0 * q * ft, 2.0 * q * fp, -st * ct, 2.0 * ft, fp, None),
+        (-fp / (st2 * s2), None, ct / st + 2.0 * q * ft, 4.0 * q * fp, None, ft, 2.0 * fp),
+        (None, -1.0, None, None, None, None, None),
+        (None, None, -1.0, None, None, None, None),
+        (None, None, None, -1.0, None, None, None),
+    )
+    out = []
+    for dlogp, *rest in table:
+        terms = [c * d for c, d in zip(pa + b, rest) if d is not None]
+        if dlogp is not None:
+            terms.insert(0, k * sk * dlogp)
+        out.append(sum(terms[1:], terms[0]))
+    return out
+
+
+def _jacobian_planes(m, f, psi, k):
+    # reference: one contiguous plane per offset, moved to a last axis
+    state = solver.assemble(m, f)
+    dfdc = _sigma_linearized_table(m.K, state, k)
+    for c, d in enumerate(solver._psi_linearized(state, psi)):
+        dfdc[c] = dfdc[c] - d
+    weights = jet_weights(f.grid)
+    planes = np.zeros((weights.shape[1],) + f.grid.shape)
+    for w, d in zip(weights, dfdc):
+        for o in np.flatnonzero(w):
+            planes[o] += w[o] * d
+    return np.ascontiguousarray(np.moveaxis(planes, 0, -1))
+
+
+@pytest.mark.parametrize("nt", [16, 64])
+@pytest.mark.parametrize("K,r_bar,k", [(-1, 1.0, 1), (0, 1.0, 2), (1, 0.6, 2)])
+def test_jacobian_fills_one_buffer_bitwise_as_planes(nt, K, r_bar, k):
+    # J's weights are added into one (n_theta, n_phi, 9) buffer, one dF/dc
+    # row at a time: bitwise the planes-plus-moveaxis construction, on a
+    # state and a psi that depend on phi about a tilted axis
+    m = spaceform(K)
+    g = build_grid(nt, 2 * nt)
+    f = field_from_function(g, lambda tt, pp: r_bar * (1.0 + 0.03 * np.cos(tt)
+                                                       + 0.02 * np.sin(tt) * np.cos(pp)))
+    psi = _tilted_blend(m, k, r_bar)
+    J = jacobian(m, f, psi, k)
+    ref = _jacobian_planes(m, f, psi, k)
+    assert J.data.shape == ref.shape and J.data.flags.c_contiguous
+    assert J.data.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.6)])
@@ -1134,6 +1210,111 @@ def test_refused_chord_step_leaves_the_newton_path_bitwise(grid16, monkeypatch):
     assert rep_chord.residual_trace == rep_plain.residual_trace
     assert rep_chord.iterations == rep_plain.iterations
     assert rep_chord.branch_index == rep_plain.branch_index
+
+
+def test_chord_step_that_cannot_contract_is_refused_unevaluated(grid16, monkeypatch):
+    # K = +1, r_bar = 0.8: M0^-1 F(seed) is longer than the predictor's step
+    # M0^-1 F(start), so the chord step fails Theta < 1 and is refused with
+    # no evaluation: the solve takes 9 residual evaluations, the refused
+    # step none of them, and its field and residual trace are bitwise those
+    # of a solve that never tries the step
+    m = spaceform(1)
+    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+    calls, inside = [], []
+    real_evaluate, real_chord = solver._evaluate, solver._chord_step
+
+    def evaluate(*args):
+        calls.append(1)
+        return real_evaluate(*args)
+
+    def chord(*args):
+        before = len(calls)
+        out = real_chord(*args)
+        inside.append((out, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
+    monkeypatch.setattr(solver, "_chord_step", chord)
+    f_chord, rep_chord = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert inside == [(None, 0)]
+    assert len(calls) == 9
+    real_newton = solver.newton_solve
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda *args, modes=None: real_newton(*args))
+    calls.clear()
+    f_plain, rep_plain = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert len(calls) == 9
+    assert f_chord.values.tobytes() == f_plain.values.tobytes()
+    assert rep_chord.residual_trace == rep_plain.residual_trace
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), TILTED_AXIS])
+def test_each_jacobian_is_freed_before_the_next_and_before_the_line_search(axis, grid16,
+                                                                          monkeypatch):
+    # no two operators coexist, and none lives next to a residual evaluation:
+    # every operator jacobian returned is dead when the next jacobian call
+    # starts and when any _evaluate call starts
+    m = spaceform(0)
+    base = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=axis)
+    refs, alive = [], []
+    real_jacobian, real_evaluate = solver.jacobian, solver._evaluate
+
+    def jac(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        J = real_jacobian(*args)
+        refs.append(weakref.ref(J))
+        return J
+
+    def evaluate(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(solver, "jacobian", jac)
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
+    _, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert report.converged and len(refs) == 3
+    assert alive and not any(alive)
+
+
+def test_start_geometry_is_released_once_the_predictor_modes_exist(grid16, monkeypatch):
+    # the radial start's geometry, held by the t = 0 report, serves the
+    # predictor's residual and J0 only: it is dead by the next Jacobian
+    m = spaceform(0)
+    refs, alive = [], []
+    real_newton, real_jacobian = solver.newton_solve, solver.jacobian
+
+    def newton(*args, **kwargs):
+        out = real_newton(*args, **kwargs)
+        if not refs:
+            refs.append(weakref.ref(out[1].state))
+        return out
+
+    def jac(*args):
+        alive.append(refs[0]() is not None)
+        return real_jacobian(*args)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    monkeypatch.setattr(solver, "jacobian", jac)
+    continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
+    assert alive == [True, False, False]
+
+
+def test_solve_traced_memory_peak_64x128():
+    # tracemalloc counts are deterministic: the e_z 64x128 continuation
+    # peaks under 6 MiB of live numpy data (7.8 MiB when the Jacobian built
+    # its planes and a copy, and the start geometry lived through the solve)
+    m = spaceform(0)
+    g = build_grid(64, 128)
+    tracemalloc.start()
+    try:
+        _, report = continuity_solve(m, g, _aniso_target(m), 2, TIGHT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak < 6.0 * 2**20
 
 
 def test_continuation_reports_factorizations_and_sweeps(grid16):
