@@ -246,7 +246,9 @@ def read_node_table(path) -> dict:
 
 
 def field_from_node_table(path, grid: SphereGrid) -> ScalarField:
-    """The rho column of a node table, on the grid whose nodes it lists."""
+    """The rho column of a node table, on the grid whose nodes it lists, as
+    a contiguous array of its own: a column view would keep the whole table
+    alive and make every stencil read strided memory."""
     cols = read_node_table(path)
     rho = cols["rho"]
     if rho.size != grid.n_nodes:
@@ -257,7 +259,7 @@ def field_from_node_table(path, grid: SphereGrid) -> ScalarField:
             and np.allclose(cols["phi"], pp.ravel(), rtol=0.0, atol=1e-12)):
         raise ValueError(f"{path}: node table nodes are not those of the "
                          f"{grid.n_theta}x{grid.n_phi} grid")
-    return ScalarField(grid, rho.reshape(grid.shape))
+    return ScalarField(grid, np.ascontiguousarray(rho.reshape(grid.shape)))
 
 
 def write_mesh(path, grid: SphereGrid, rho: np.ndarray) -> None:

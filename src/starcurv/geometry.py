@@ -4,9 +4,14 @@ From a height field rho the hypersurface {(z, rho(z))} inherits, per node:
 the induced metric g, the second fundamental form h taken with respect to
 the outward normal, the principal curvatures (the eigenvalues of the
 Weingarten map g^{-1} h), the support function u, and the chart-embedded
-unit normal.  The inverse metric is derived from g on each read, not
-stored: a solve reads it only inside assemble, and the diagnostics below
-read it through GeometryState's ginv properties.  Component conventions:
+unit normal.  A GeometryState keeps 17 node arrays: rho and its
+first-order jet (d_t, d_p, |grad rho|^2), the warp and its derivative,
+g, h, the two principal curvatures and the normal's three components.
+What a reader can rebuild from those is derived on each read, bitwise as
+pointwise_geometry computes it: det g, the inverse metric and u.  The
+jet's covariant Hessian is read only to build h, and the radial potential
+(the warp integral) only by hessian_identity_residual, so neither is
+stored.  Component conventions:
 symmetric 2x2 tensors are stored as the (tt, tp, pp) triple of coordinate
 components on the (theta, phi) chart.
 
@@ -32,13 +37,22 @@ class GeometryError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
+class FirstOrderJet:
+    """Value and gradient of rho: a CovariantJet without its Hessian."""
+
+    value: np.ndarray
+    d_t: np.ndarray
+    d_p: np.ndarray
+    grad_sq: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class GeometryState:
     grid: SphereGrid
     rho: np.ndarray
-    jet: object                     # CovariantJet of rho
+    jet: FirstOrderJet              # value and gradient of rho
     phi: np.ndarray                 # warp factor at rho
     dphi: np.ndarray                # warp derivative at rho
-    pot: np.ndarray                 # warp integral at rho
     g_tt: np.ndarray
     g_tp: np.ndarray
     g_pp: np.ndarray
@@ -47,8 +61,13 @@ class GeometryState:
     h_pp: np.ndarray
     kappa1: np.ndarray              # larger principal curvature
     kappa2: np.ndarray
-    u: np.ndarray                   # support function
     nu: np.ndarray                  # (nt, nphi, 3) chart-embedded unit normal
+
+    @property
+    def u(self):
+        """The support function phi^2 / sqrt(phi^2 + |grad rho|^2), built on
+        each read."""
+        return self.phi * self.phi / np.sqrt(self.phi * self.phi + self.jet.grad_sq)
 
     @property
     def det_g(self):
@@ -121,7 +140,7 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     model.warps, covers the jet's value.
     """
     rho = jet.value
-    phi, dphi, pot = model.warps(rho)
+    phi, dphi = model.warps(rho)
     w = jet.grad_sq
     sroot = np.sqrt(phi * phi + w)
 
@@ -145,9 +164,8 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     h_pp = pref * (-jet.hess_pp + two_q * dp * dp + phi * dphi * st2)
     for arr in (h_tt, h_tp, h_pp):
         _screen_finite(g, "second fundamental form", arr)
+    jet = FirstOrderJet(rho, dt, dp, w)     # the Hessian is read only to build h
     kappa1, kappa2 = _principal_curvatures(g, det_g, g_tt, g_tp, g_pp, h_tt, h_tp, h_pp)
-
-    u = phi * phi / sroot
 
     # chart-embedded unit normal (phi z - f_t e_t - f_p / sin(theta) e_p) / sroot,
     # written per Cartesian component: numpy's loops over a trailing axis of 3 are slow
@@ -158,10 +176,10 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     for c in range(3):
         nu[..., c] = coef * (-dt * e_t[..., c] - fp * e_p[..., c] + phi * z[..., c])
 
-    return GeometryState(grid=g, rho=rho, jet=jet, phi=phi, dphi=dphi, pot=pot,
+    return GeometryState(grid=g, rho=rho, jet=jet, phi=phi, dphi=dphi,
                          g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
                          h_tt=h_tt, h_tp=h_tp, h_pp=h_pp,
-                         kappa1=kappa1, kappa2=kappa2, u=u, nu=nu)
+                         kappa1=kappa1, kappa2=kappa2, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +270,11 @@ def hessian_identity_residual(model: SpaceFormModel, field: ScalarField) -> floa
     equals warp_deriv * g - u * h."""
     state = assemble(model, field, order=_DIAG_ORDER)
     chris = _surface_christoffels(state)
-    H_tt, H_tp, H_pp = _surface_hessian(state, state.pot, chris)
-    r_tt = H_tt - (state.dphi * state.g_tt - state.u * state.h_tt)
-    r_tp = H_tp - (state.dphi * state.g_tp - state.u * state.h_tp)
-    r_pp = H_pp - (state.dphi * state.g_pp - state.u * state.h_pp)
+    H_tt, H_tp, H_pp = _surface_hessian(state, model.warp_integral(state.rho), chris)
+    u = state.u
+    r_tt = H_tt - (state.dphi * state.g_tt - u * state.h_tt)
+    r_tp = H_tp - (state.dphi * state.g_tp - u * state.h_tp)
+    r_pp = H_pp - (state.dphi * state.g_pp - u * state.h_pp)
     return float(max(np.abs(r_tt).max(), np.abs(r_tp).max(), np.abs(r_pp).max()))
 
 
@@ -278,8 +297,9 @@ def support_hessian_residual(model: SpaceFormModel, field: ScalarField) -> float
     Hess u = (grad h contracted with raised potential gradient)
              + warp_deriv * h - u * h g^{-1} h."""
     state = assemble(model, field, order=_DIAG_ORDER)
+    u = state.u
     chris = _surface_christoffels(state)
-    H_tt, H_tp, H_pp = _surface_hessian(state, state.u, chris)
+    H_tt, H_tp, H_pp = _surface_hessian(state, u, chris)
     T_t, T_p = _cov_deriv_h(state, chris)
     p_t, p_p = _grad_pot(state)
     up_t, up_p = _raise_index(state, p_t, p_p)
@@ -297,7 +317,7 @@ def support_hessian_residual(model: SpaceFormModel, field: ScalarField) -> float
                                  (H_tt, H_tp, H_pp),
                                  (state.h_tt, state.h_tp, state.h_pp),
                                  (hgh_tt, hgh_tp, hgh_pp)):
-        rhs = Tt * up_t + Tp * up_p + state.dphi * h - state.u * hgh
+        rhs = Tt * up_t + Tp * up_p + state.dphi * h - u * hgh
         res.append(np.abs(H - rhs).max())
     return float(max(res))
 

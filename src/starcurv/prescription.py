@@ -84,16 +84,25 @@ class Prescription:
                 f"(min {np.nanmin(vals[i])!r} at rho={radii[i]!r})")
 
     def blend(self, other: "Prescription", t: float) -> "Prescription":
-        """Convex combination (1-t) self + t other, partials too; positivity is inherited."""
+        """Convex combination (1-t) self + t other, partials too; positivity is inherited.
+
+        At t = 1 it evaluates and differentiates through other's functions
+        and never calls self's: bitwise the combination 0.0 f0 + f1 for a
+        finite f0, except that a -0.0 of other's stays -0.0 (psi itself is
+        positive)."""
         if self.k != other.k:
             raise ValueError("cannot blend prescriptions of different degree")
         f0, f1 = self.eval_fn, other.eval_fn
         p0, p1 = self.partials, other.partials
         tv = float(t)
+        if tv == 1.0:
+            fn, partials = f1, p1
+        else:
+            fn = lambda z, rho, nu: (1.0 - tv) * f0(z, rho, nu) + tv * f1(z, rho, nu)
+            partials = lambda z, rho, nu: tuple((1.0 - tv) * a + tv * b
+                                                for a, b in zip(p0(z, rho, nu), p1(z, rho, nu)))
         return Prescription(
-            lambda z, rho, nu: (1.0 - tv) * f0(z, rho, nu) + tv * f1(z, rho, nu),
-            lambda z, rho, nu: tuple((1.0 - tv) * a + tv * b
-                                     for a, b in zip(p0(z, rho, nu), p1(z, rho, nu))),
+            fn, partials,
             family="blend",
             params={"t": tv, "low": self.family, "high": other.family},
             k=self.k, model=self.model or other.model, validate=False)

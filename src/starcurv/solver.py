@@ -36,14 +36,15 @@ admissible and lowers the residual sup norm.  Every other Newton system
 is solved afresh, and nothing else is held from one system to the next.
 A node array is held only while something reads it: J is filled into one
 (n_theta, n_phi, 9) buffer, one dF/dc at a time, and dropped once its
-system is solved, before the line search; the start's geometry is
-dropped once J0's modes exist, and a later attempt from the start
-assembles it again.  A report's iterations count corrector steps (chord
-and Newton) only, not the predictor.  A stage whose Newton
-solve damped a step must also keep the branch index, the sign of det J,
-of the radial start: that sign is the local Leray-Schauder index of an
-isolated solution, and the two solutions that meet at a fold have
-opposite signs.
+system is solved, before the line search; an iterate's geometry is freed
+inside its Jacobian, once sigma_k's coefficients exist, and a line
+search holds only its trial's; the start's geometry is dropped once J0's
+modes exist, and a later attempt from the start assembles it again.  A
+report's iterations count corrector steps (chord and Newton) only, not
+the predictor.  A stage whose Newton solve damped a step must also keep
+the branch index, the sign of det J, of the radial start: that sign is
+the local Leray-Schauder index of an isolated solution, and the two
+solutions that meet at a fold have opposite signs.
 The test is necessary, not sufficient: two solutions of equal index can
 coexist, and it cannot tell them apart.  Every accepted Newton iterate
 must stay strictly inside the radial domain and keep the principal
@@ -250,7 +251,9 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
 
     with one table row (dlogP, dB, dg) per component c; phi'' = -K phi,
     so q' = -K - q^2.  Yields d sigma_k / dc for each c in turn: each row
-    of the table is built only when its component is asked for.
+    of the table is built only when its component is asked for.  Once the
+    coefficients P a and b exist, the generator drops state, g and h: it
+    holds only the jet and warp arrays the rows read.
     """
     if k not in (1, 2):
         raise ValueError(f"degree k={k} outside 1..2")
@@ -275,8 +278,8 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
     s2 = phi * phi + w
     p = phi / np.sqrt(s2)
     coefs = tuple(p * a_ij for a_ij in a) + b
-    del det_g, a, p
     ksk = k * sk
+    del state, g_tt, g_tp, g_pp, h_tt, h_tp, h_pp, det_g, a, b, p, sk
     q = dphi / phi
     dq = -K - q * q
     de = dphi * dphi - K * phi * phi
@@ -340,15 +343,20 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     which share one 9-point footprint, so J's weights at each node are
     theirs combined with that node's dF/dc.  Each w[o] dF/dc is added into
     one zeroed (n_theta, n_phi, 9) array, c in order, and each dF/dc is
-    dropped before the next one is built.
+    dropped before the next one is built.  The geometry is read only until
+    psi's rows and sigma_k's coefficients exist: when the caller hands
+    state over as its only holder (newton_solve does), it is freed before
+    the first dF/dc is built.
     """
     g = fieldv.grid
     if state is None:
         state = assemble(model, fieldv)
     weights = jet_weights(g)
-    data = np.zeros(g.shape + (weights.shape[1],))
     dpsi = [] if psi is None else _psi_linearized(state, psi)
-    for w, d in zip(weights, _sigma_linearized(model.K, state, k)):
+    rows = _sigma_linearized(model.K, state, k)
+    del state                       # rows holds it until its coefficients exist
+    data = np.zeros(g.shape + (weights.shape[1],))
+    for w, d in zip(weights, rows):
         if dpsi:
             d = d - dpsi.pop(0)
         for o in np.flatnonzero(w):
@@ -465,8 +473,11 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     Each Newton system is solved by GMRES preconditioned by the
     phi-averaged modes M of its own Jacobian (see _linear_solve).  J is
     dropped as soon as that solve returns, so no two Jacobians coexist and
-    none lives next to a line-search geometry.  The converged report's
-    state is the geometry of the returned field.
+    none lives next to a line-search geometry.  The iterate's geometry is
+    handed to jacobian as its only holder, which frees it before the first
+    dF/dc is built; the line search then holds no geometry but its current
+    trial's, a refused trial's being freed before the next is assembled.
+    The converged report's state is the geometry of the returned field.
 
     modes, if given, is a pair (M, d0): the PhiModes of another Jacobian
     near this one and the sup norm of a step it solved (the continuation
@@ -518,11 +529,15 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             report.iterations += 1
             report.record(rnorm, state, margin)
             continue
+        # jacobian is the last reader of this iterate's geometry, and the list is
+        # its only other holder until the call pops it: jacobian frees it before
+        # it builds dF/dc, and no geometry is held through the linear solve
+        held, state = [state], None
         try:
             # J is referenced by _linear_solve alone, and freed when it returns;
             # of its modes only the sign of their determinant is kept
-            delta, served = _linear_solve(jacobian(model, fieldv, psi, k, state), -res.ravel(),
-                                          report)
+            delta, served = _linear_solve(jacobian(model, fieldv, psi, k, held.pop()),
+                                          -res.ravel(), report)
             sign = served.det_sign()
             del served
         except NoConvergence as exc:
@@ -545,6 +560,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                     fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
                     accepted = True
                     break
+            cstate = cres = None        # a refused trial's, freed before the next one
             alpha *= DAMPING
         if not accepted:
             if not admissible_seen:
@@ -554,7 +570,7 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             raise NoConvergence(
                 f"line search stalled at residual {rnorm!r}",
                 field=fieldv, report=report)
-        del delta                   # read by the line search only
+        del delta, cstate, cres     # the step, and aliases of the accepted iterate
         damped = damped or alpha < 1.0
         report.iterations += 1
         report.record(rnorm, state, margin)
@@ -787,7 +803,9 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     sufficient: a second solution of the start's index passes it.  A step
     that would end within MIN_HOMOTOPY_STEP of t = 1 goes to 1, and the run
     stalls once a halved step falls below it.  The report's state is the
-    last stage's, the geometry of the returned field.
+    last stage's, the geometry of the returned field; no attempt holds an
+    earlier stage's geometry, so a later stage's Newton assembles its
+    seed's again.
     """
     opts = opts or SolverOptions()
     r0 = _radial_start(model, grid, psi_target, k)
@@ -815,6 +833,7 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     modes = None
     plain = False          # the next attempt starts Newton at the start itself
     while t < 1.0:
+        sub = None          # an earlier attempt's report, and its geometry, are not held
         t_next = min(t + dt, 1.0)
         if 1.0 - t_next < MIN_HOMOTOPY_STEP:
             t_next = 1.0
@@ -860,14 +879,14 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
                 report.message = f"homotopy stalled at t = {t!r}: {failure}"
                 raise NoConvergence(report.message, field=fieldv, report=report) from None
             continue
-        t, fieldv, state = t_next, solved, sub.state
+        t, fieldv = t_next, solved
         report.absorb(sub)
         report.homotopy_t.append(t)
         dt *= 2.0
 
     report.converged = True
     report.message = "converged"
-    report.state = state
+    report.state = sub.state        # the last stage's: the loop ends on an accepted one
     return fieldv, report
 
 

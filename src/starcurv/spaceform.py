@@ -80,8 +80,8 @@ class SpaceFormModel:
         return [v if v.ndim else float(v) for v in out]
 
     def warps(self, rho):
-        """(warp, warp_deriv, warp_integral) of rho behind one domain check."""
-        return tuple(self._warp_parts(rho, (0, 1, 2)))
+        """(warp, warp_deriv) of rho behind one domain check."""
+        return tuple(self._warp_parts(rho, (0, 1)))
 
     def warp(self, rho):
         """Warping factor: rho, sin(rho), or sinh(rho)."""
@@ -101,7 +101,7 @@ class SpaceFormModel:
         Equals warp_deriv/warp: 1/rho, cot(rho), or coth(rho).  Strictly
         decreasing on (0, a) for every K.
         """
-        phi, dphi = self._warp_parts(rho, (0, 1))
+        phi, dphi = self.warps(rho)
         return dphi / phi
 
     def sphere_sigma(self, rho, k: int):

@@ -125,6 +125,18 @@ def test_node_table_round_trip_bit_exact(tmp_path):
     assert np.array_equal(cols["u"].reshape(g.shape), state.u)
 
 
+def test_node_table_field_owns_contiguous_data(tmp_path):
+    # rho is copied out of the parsed table: a column view would keep all
+    # seven columns alive and make every stencil read strided memory
+    m = spaceform(0)
+    g = build_grid(16, 32)
+    f = constant_field(g, 1.0)
+    write_node_table(tmp_path / "nodes.csv", assemble(m, f), residual(m, f, None, 2).values)
+    values = field_from_node_table(tmp_path / "nodes.csv", g).values
+    assert values.flags.owndata and values.flags.c_contiguous
+    assert np.array_equal(values, f.values)
+
+
 def test_export_round_trip(tmp_path):
     cfg = write_cfg(tmp_path / "run.cfg", ROUND_CFG)
     assert run_cli(["solve", str(cfg)], tmp_path).returncode == 0

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from starcurv import geometry
 from starcurv.geometry import (GeometryError, assemble, codazzi_residual,
                                hessian_identity_residual,
                                support_gradient_residual,
                                support_hessian_residual)
-from starcurv.grid import ScalarField, build_grid, constant_field, field_from_function
+from starcurv.grid import (ScalarField, build_grid, constant_field, covariant_jet,
+                           field_from_function)
 from starcurv.spaceform import DomainError, spaceform
 
 ALL_K = (-1, 0, 1)
@@ -98,6 +101,59 @@ def test_derived_inverse_metric_and_curvatures_match_the_stored_formulas_bitwise
     disc = np.sqrt(np.maximum((0.5 * (a_11 - a_22)) ** 2 + a_12 * a_21, 0.0))
     assert s.kappa1.tobytes() == (mean + disc).tobytes()
     assert s.kappa2.tobytes() == (mean - disc).tobytes()
+
+
+def _node_arrays(state):
+    """Full-grid arrays held in a state's fields and its jet's, in units of
+    one node array (nu counts three); rho is the jet's value."""
+    n = state.grid.n_nodes
+    held = [getattr(state, f.name) for f in dataclasses.fields(state)]
+    held += [getattr(state.jet, f.name) for f in dataclasses.fields(state.jet)
+             if f.name != "value"]
+    return sum(a.size // n for a in held if isinstance(a, np.ndarray))
+
+
+def _tilt_field(g, r):
+    return field_from_function(g, lambda tt, pp: r * (1.0 + 0.1 * np.cos(tt)
+                                                      + 0.05 * np.sin(tt) * np.sin(pp)))
+
+
+@pytest.mark.parametrize("K", ALL_K)
+def test_state_holds_17_node_arrays_and_derives_u_bitwise(K):
+    # rho and its gradient (4), phi and phi' (2), g and h (6), the
+    # curvatures (2) and nu (3): the jet's Hessian, the potential and u are
+    # not stored, and u is phi^2 / sqrt(phi^2 + |grad rho|^2) of the jet
+    # and the warp, bitwise
+    m = spaceform(K)
+    g = build_grid(16, 32)
+    f = _tilt_field(g, radius_for(K))
+    s = assemble(m, f)
+    assert s.jet.value is s.rho
+    assert _node_arrays(s) == 17
+    jet = covariant_jet(f)
+    phi = m.warp(f.values)
+    u = phi * phi / np.sqrt(phi * phi + jet.grad_sq)
+    assert s.u.tobytes() == u.tobytes()
+
+
+# the radial potential, the antiderivative of the warp vanishing at 0
+POTENTIAL = {0: lambda r: 0.5 * r * r, 1: lambda r: 1.0 - np.cos(r), -1: lambda r: np.cosh(r) - 1.0}
+
+
+@pytest.mark.parametrize("K", ALL_K)
+def test_hessian_identity_residual_of_the_unstored_potential_is_unchanged(K):
+    # the state stores no potential: the diagnostic computes the warp
+    # integral of rho itself, and its value is the identity's defect with
+    # the closed-form potential, bitwise
+    m = spaceform(K)
+    f = _tilt_field(build_grid(16, 32), radius_for(K))
+    s = assemble(m, f, order=4)
+    chris = geometry._surface_christoffels(s)
+    H = geometry._surface_hessian(s, POTENTIAL[K](s.rho), chris)
+    u = s.phi * s.phi / np.sqrt(s.phi * s.phi + s.jet.grad_sq)
+    ref = max(np.abs(H_ij - (s.dphi * g_ij - u * h_ij)).max()
+              for H_ij, g_ij, h_ij in zip(H, (s.g_tt, s.g_tp, s.g_pp), (s.h_tt, s.h_tp, s.h_pp)))
+    assert hessian_identity_residual(m, f) == float(ref)
 
 
 def test_shape_matrix_eigenvalues_match_g_inv_h():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from starcurv.grid import build_grid
 from starcurv.prescription import (ConditionReport, Prescription, builtin, check_barriers,
                                    check_monotonicity)
 from starcurv.spaceform import DomainError, spaceform
@@ -132,6 +133,31 @@ def test_blend_interpolates():
     b = builtin(m, "constant", c=3.0)
     mid = a.blend(b, 0.25)
     assert mid(Z, 1.0, Z) == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, -0.2])
+def test_blend_at_one_calls_only_the_target(epsilon):
+    # at t = 1 the start's functions are never called, and values and
+    # partials are bitwise those of 0.0 * start + 1.0 * target
+    m = spaceform(0)
+    start = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    calls = []
+    spy = Prescription(lambda *a: calls.append("eval") or start.eval_fn(*a),
+                       lambda *a: calls.append("partials") or start.partials(*a),
+                       "spy", {}, model=m, validate=False)
+    target = builtin(m, "anisotropic", base=start, epsilon=epsilon, axis=(0.0, 0.0, 1.0))
+    end = spy.blend(target, 1.0)
+    assert end.family == "blend" and end.params["t"] == 1.0
+    z, e_t, _ = build_grid(8, 16).unit_vectors()
+    nu = (z + 0.3 * e_t) / np.sqrt(1.09)
+    rho = 1.0 + 0.1 * z[..., 2]
+    value, partials = end(z, rho, nu), end.partials(z, rho, nu)
+    assert calls == []
+    assert value.tobytes() == (0.0 * start(z, rho, nu) + 1.0 * target(z, rho, nu)).tobytes()
+    for got, p0, p1 in zip(partials, start.partials(z, rho, nu), target.partials(z, rho, nu)):
+        assert np.asarray(got).tobytes() == np.asarray(0.0 * p0 + 1.0 * p1).tobytes()
+    spy.blend(target, 0.5)(z, rho, nu)
+    assert calls == ["eval"]
 
 
 # --- checker fidelity: margins frozen from symbolic hand evaluation -------

@@ -1184,9 +1184,9 @@ def test_kept_chord_step_frees_its_iterate_after_the_next_step(grid16, monkeypat
 
 
 def test_refused_chord_step_leaves_the_newton_path_bitwise(grid16, monkeypatch):
-    # K = +1, r_bar = 0.8: the chord step raises the residual sup norm, so
-    # it is refused, and Newton runs from the predicted seed exactly as a
-    # solve that was given no modes
+    # K = +1, r_bar = 0.8: the chord step is not shorter than the
+    # predictor's step, so it is refused before it is evaluated, and Newton
+    # runs from the predicted seed exactly as a solve that was given no modes
     m = spaceform(1)
     base = builtin(m, "round_target", r_bar=0.8, m=4.0)
     psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
@@ -1278,6 +1278,49 @@ def test_each_jacobian_is_freed_before_the_next_and_before_the_line_search(axis,
     assert alive and not any(alive)
 
 
+@pytest.mark.parametrize("axis,first_step", [((0.0, 0.0, 1.0), 1.0), (TILTED_AXIS, 1.0),
+                                             ((0.0, 0.0, 1.0), 0.5)])
+def test_iterate_geometry_is_freed_inside_its_jacobian_and_before_the_line_search(
+        axis, first_step, grid16, monkeypatch):
+    # newton_solve hands the iterate's geometry to jacobian as its only
+    # holder: it is dead by the first dF/dc row, and when the first
+    # _evaluate after a Jacobian starts (the line search's, or Newton's seed
+    # after J0) no geometry assembled before it is alive, an earlier
+    # stage's included.  J0's geometry is the start's, which
+    # continuity_solve holds until J0's modes exist.
+    monkeypatch.setattr(solver, "FIRST_STEP", first_step)
+    m = spaceform(0)
+    base = builtin(m, "round_target", r_bar=1.0, m=4.0)
+    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=axis)
+    refs, at_rows, at_evaluate = [], [], []
+    real_rows, real_evaluate = solver._sigma_linearized, solver._evaluate
+
+    def rows(K, state, k):
+        ref = weakref.ref(state)
+        refs.append(ref)
+        inner = real_rows(K, state, k)
+        del state
+        first = next(inner)
+        at_rows.append(ref() is None)
+        yield first
+        yield from inner
+
+    def evaluate(*args):
+        if len(at_evaluate) < len(at_rows):
+            at_evaluate.append(sum(ref() is not None for ref in refs))
+        out = real_evaluate(*args)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(solver, "_sigma_linearized", rows)
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
+    _, report = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert report.converged and len(report.homotopy_t) == 1 + round(1.0 / first_step)
+    assert len(at_rows) >= 3
+    assert at_rows == [False] + [True] * (len(at_rows) - 1)
+    assert at_evaluate == [0] * len(at_rows)
+
+
 def test_start_geometry_is_released_once_the_predictor_modes_exist(grid16, monkeypatch):
     # the radial start's geometry, held by the t = 0 report, serves the
     # predictor's residual and J0 only: it is dead by the next Jacobian
@@ -1302,9 +1345,10 @@ def test_start_geometry_is_released_once_the_predictor_modes_exist(grid16, monke
 
 
 def test_solve_traced_memory_peak_64x128():
-    # tracemalloc counts are deterministic: the e_z 64x128 continuation
-    # peaks under 6 MiB of live numpy data (7.8 MiB when the Jacobian built
-    # its planes and a copy, and the start geometry lived through the solve)
+    # tracemalloc counts are deterministic: the e_z 64x128 continuation,
+    # grid frames included, peaks under 4.1 MiB of live numpy data (3.8
+    # MiB; 4.5 MiB when a state held 22 node arrays and Newton held the
+    # iterate's geometry through its Jacobian and line search)
     m = spaceform(0)
     g = build_grid(64, 128)
     tracemalloc.start()
@@ -1314,7 +1358,7 @@ def test_solve_traced_memory_peak_64x128():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak < 6.0 * 2**20
+    assert peak < 4.1 * 2**20
 
 
 def test_continuation_reports_factorizations_and_sweeps(grid16):
