@@ -2,56 +2,16 @@
 
 The discrete equation is, per node, sigma_k of the principal curvatures
 minus the prescription evaluated at (z, rho, nu); Newton, the Jacobian and
-the exported node tables all use this one residual form.  It reads rho
-only through the node's 2-jet (value, first and second partials), so the
-Jacobian follows by the chain rule: J = sum_c diag(dF/dc) @ D_c over the
-six raw jet components c, with D_c the grid's fixed 9-point jet stencils
-(cross-pole ghosting folded in), so J is a 9-point StencilOperator, a
-numpy slice matvec.  dF/dc is closed form for sigma_k, the
-linearized operator d sigma_k / d h_ij and d sigma_k / d g_ij chained
-through the jet's entries of g and h, and the prescription's own partials
-in rho and nu for the three components they read.  Each Newton system is
-solved by restarted GMRES, right-preconditioned by the PhiModes of its own
-J: J averaged over phi (T. Chan's optimal circulant approximation, applied
-per theta-block), one real FFT in phi and one tridiagonal Thomas sweep in
-theta per mode, with no LU and no scipy.  GMRES starts from the modes'
-solve, so when J commutes with phi-shifts (an axis along e_z) the modes
-are J itself and that one solve meets the goal with no matvec.  The solve
-stops at Oettli and Prager's componentwise backward error floor when
-REFINE_TOL |b| asks for more than float64 can deliver.  The continuation
-tries the whole path t = 0 -> 1 in one step first, halves a step that
-fails and doubles the next one after a step that succeeds.  It is an
-Euler-Newton predictor-corrector: each attempt of the first stage after
-t = 0 seeds Newton with the tangent predictor start - J0^-1 F(start;
-psi_t).  J0, the Jacobian at the radial start, commutes with phi-shifts
-for every target, so its PhiModes solves it exactly.  The predictor is
-skipped when the start already meets newton_tol at t, and dropped for
-one retry from the start when its field leaves (0, a) or is not
-admissible; later stages start from the last solution.  The first
-corrector step from a predicted seed reuses J0's modes: the chord step
-seed - J0^-1 F(seed; psi_t) builds no Jacobian.  It is refused unevaluated
-when it is not shorter than the predictor's step (simplified Newton's
-monotonicity test), and otherwise kept only at full length when it stays
-admissible and lowers the residual sup norm.  Every other Newton system
-is solved afresh, and nothing else is held from one system to the next.
-A node array is held only while something reads it: J is filled into one
-(n_theta, n_phi, 9) buffer, one dF/dc at a time, and dropped once its
-system is solved, before the line search; an iterate's geometry is freed
-inside its Jacobian, once sigma_k's coefficients exist, and a line
-search holds only its trial's; the start's geometry is dropped once J0's
-modes exist, and a later attempt from the start assembles it again.  A
-report's iterations count corrector steps (chord and Newton) only, not
-the predictor.  A stage whose Newton solve damped a step must also keep
-the branch index, the sign of det J, of the radial start: that sign is
-the local Leray-Schauder index of an isolated solution, and the two
-solutions that meet at a fold have opposite signs.
-The test is necessary, not sufficient: two solutions of equal index can
-coexist, and it cannot tell them apart.  Every accepted Newton iterate
-must stay strictly inside the radial domain and keep the principal
-curvatures inside the degree-k positivity cone with margin at least
-CONE_MARGIN; the report carries the a priori bound monitors (radius range,
-gradient sup, largest curvature, support minimum, cone margin) for every
-accepted iterate.
+the exported node tables all use this one residual form (residual).  It
+reads rho only through the node's 2-jet, so jacobian builds J by the chain
+rule as a 9-point StencilOperator, and _linear_solve solves each Newton
+system by GMRES preconditioned by the phi-Fourier modes of J (PhiModes).
+newton_solve admits every candidate iterate by one rule, _trial's, which
+keeps it inside the radial domain and the degree-k positivity cone.
+continuity_solve reaches the target from an exactly solvable radial start
+by an Euler-Newton predictor-corrector.  The report carries the a priori
+bound monitors (radius range, gradient sup, largest curvature, support
+minimum, cone margin) of every accepted iterate.
 
 Runs are serial and deterministic: given identical inputs and options
 the iterate sequence is bitwise reproducible.
@@ -103,8 +63,8 @@ class SolverOptions:
 # Newton takes at most MAX_NEWTON_ITERS steps per solve.  The continuation's
 # first step is FIRST_STEP (the whole path), and it stalls once a halved step
 # falls below MIN_HOMOTOPY_STEP.  The line search halves the step (DAMPING) up
-# to MAX_BACKTRACKS times, and accepts a candidate only when its cone margin
-# is at least CONE_MARGIN.
+# to MAX_BACKTRACKS times.  CONE_MARGIN is the least cone margin an
+# accepted iterate keeps (_trial).
 MAX_NEWTON_ITERS = 50
 FIRST_STEP = 1.0
 MIN_HOMOTOPY_STEP = 1e-4
@@ -365,13 +325,13 @@ def jacobian(model: SpaceFormModel, fieldv: ScalarField, psi: Optional[Prescript
     return StencilOperator(g, data)
 
 
-# The linear solve stops once |b - Jx|_inf <= max(REFINE_TOL |b|_inf,
-# REFINE_FLOOR max(|J| |x|)), the second term Oettli and Prager's
+# The linear solve stops once |b - Jx|_inf <= max(GMRES_RTOL |b|_inf,
+# GMRES_FLOOR max(|J| |x|)), the second term Oettli and Prager's
 # componentwise backward error at 16 ulps (Numer. Math. 6, 1964): past it, a
 # smaller residual is roundoff, not accuracy.  GMRES restarts after
 # GMRES_RESTART matvecs, and runs at most GMRES_MAX_CYCLES cycles.
-REFINE_TOL = 1e-8
-REFINE_FLOOR = 16.0 * np.finfo(float).eps
+GMRES_RTOL = 1e-8
+GMRES_FLOOR = 16.0 * np.finfo(float).eps
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 10
 
@@ -420,18 +380,18 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
     residual is not finite either, since every node reads itself), raises
     NoConvergence, as does a residual above the goal after
     GMRES_MAX_CYCLES cycles.  |J| |x| is computed only when the residual
-    is above REFINE_TOL |rhs|.  Returns (x, M).  report, if given, counts
+    is above GMRES_RTOL |rhs|.  Returns (x, M).  report, if given, counts
     the matvecs in linear_iterations.
     """
     modes = PhiModes(J)
     x = modes.solve(rhs)
-    tol, last = REFINE_TOL * np.abs(rhs).max(), math.inf
+    tol, last = GMRES_RTOL * np.abs(rhs).max(), math.inf
     for cycle in range(GMRES_MAX_CYCLES + 1):
         r = rhs - J @ x
         rnorm = np.abs(r).max()
         if not rnorm < last:
             raise NoConvergence("linear solve failed: singular Jacobian")
-        if rnorm <= tol or rnorm <= (floor := REFINE_FLOOR * J.abs_matvec(np.abs(x)).max()):
+        if rnorm <= tol or rnorm <= (floor := GMRES_FLOOR * J.abs_matvec(np.abs(x)).max()):
             return x, modes
         if cycle == GMRES_MAX_CYCLES:
             raise NoConvergence(f"linear solve failed: residual {rnorm!r} after "
@@ -445,24 +405,23 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
 # ---------------------------------------------------------------------------
 # damped Newton
 
-def _chord_step(model: SpaceFormModel, fieldv: ScalarField, res: np.ndarray, rnorm: float,
-                psi: Prescription, k: int, modes: "PhiModes", step0: float):
-    """(field, state, residual, margin, sup norm) of the chord step x - M^-1
-    F(x) when newton_solve keeps it (see there), else None.  A step whose
-    sup norm is not below step0, the predictor's, is refused before its
-    field is evaluated."""
-    step = modes.solve(res)
-    if not np.abs(step).max() < step0:
-        return None
-    cf = ScalarField(fieldv.grid, fieldv.values - step)
+def _trial(model: SpaceFormModel, grid: SphereGrid, values: np.ndarray, rnorm: float,
+           psi: Prescription, k: int):
+    """Newton's one admission rule, for the candidate with these node values.
+
+    Returns (field, state, residual, margin, sup norm) when the candidate
+    stays inside (0, a), has a finite geometry, keeps cone margin >=
+    CONE_MARGIN and strictly lowers the residual sup norm rnorm; False when
+    it is admissible but not lower; None when it is not admissible."""
+    cf = ScalarField(grid, values)
     try:
-        cstate, cres, cmargin = _evaluate(model, cf, psi, k)
+        state, res, margin = _evaluate(model, cf, psi, k)
     except (GeometryError, DomainError):
         return None
-    cnorm = float(np.abs(cres).max())
-    if cmargin >= CONE_MARGIN and cnorm < rnorm:
-        return cf, cstate, cres, cmargin, cnorm
-    return None
+    if not margin >= CONE_MARGIN:
+        return None
+    cnorm = float(np.abs(res).max())
+    return (cf, state, res, margin, cnorm) if cnorm < rnorm else False
 
 
 def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
@@ -470,46 +429,46 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
                  modes: Optional[tuple] = None):
     """Damped Newton iteration constrained to the admissibility cone.
 
-    Each Newton system is solved by GMRES preconditioned by the
-    phi-averaged modes M of its own Jacobian (see _linear_solve).  J is
-    dropped as soon as that solve returns, so no two Jacobians coexist and
-    none lives next to a line-search geometry.  The iterate's geometry is
-    handed to jacobian as its only holder, which frees it before the first
-    dF/dc is built; the line search then holds no geometry but its current
-    trial's, a refused trial's being freed before the next is assembled.
-    The converged report's state is the geometry of the returned field.
+    The seed is iterate zero; it is recorded, and raises ConeBreach when
+    its cone margin is below CONE_MARGIN.  Each step chooses a direction
+    and tries it, and _trial alone admits the candidate.
 
     modes, if given, is a pair (M, d0): the PhiModes of another Jacobian
     near this one and the sup norm of a step it solved (the continuation
     passes its predictor's J0 and the predictor's step M^-1 F(start; psi_t)
-    for a predicted seed).  The first step then tries the chord step x -
-    M^-1 F(x) (_chord_step), with no Jacobian and no GMRES.  It is refused
-    unless |M^-1 F(x)|_inf < d0, before its field is evaluated: that is
+    for a predicted seed).  The first step is then the chord step x -
+    M^-1 F(x), with no Jacobian and no GMRES, when |M^-1 F(x)|_inf < d0:
     the monotonicity test Theta < 1 of simplified Newton (Deuflhard,
     Newton Methods for Nonlinear Problems, 2004, sec. 2.1), with no
-    constant to tune.  Past it, the step is kept only at full length, and
-    only when the candidate stays inside (0, a), keeps cone margin >=
-    CONE_MARGIN and strictly lowers the residual sup norm.  A kept step
-    counts in iterations and in the MAX_NEWTON_ITERS budget like any
-    Newton step, and adds 0 to linear_iterations; a refused one is
-    dropped, and Newton builds J at x as it would without modes.
+    constant to tune.  It is one trial at full length.  A kept chord step
+    counts in iterations and in the MAX_NEWTON_ITERS budget like any Newton
+    step and adds 0 to linear_iterations; a refused one costs one mode
+    solve, plus one residual evaluation when it passed the length test.
 
-    Backtracking accepts a step only when the candidate stays strictly
-    inside the radial domain, keeps the curvatures inside the cone with
-    margin >= CONE_MARGIN, and strictly decreases the residual sup norm.
-    Raises ConeBreach when no step length is even admissible and
-    NoConvergence when MAX_NEWTON_ITERS steps do not reach newton_tol; both
-    carry the report of this solve.  When a step was damped, the converged
-    report's branch_index is sign det M of the modes that served the last
-    step (PhiModes.det_sign).  It is sign det J exactly when J commutes
-    with phi-shifts, since M is then J.  Otherwise it rests on M being
-    near J: det M and det J share their sign while |I - M^-1 J| < 1, which
-    a converged GMRES does not certify.
+    Every other step builds J at x and solves J delta = -F(x) by GMRES
+    preconditioned by the phi-averaged modes of J (see _linear_solve), and
+    the line search tries x + alpha delta at alpha = 1, DAMPING, ..., up to
+    MAX_BACKTRACKS halvings.  J is dropped as soon as its solve returns, so
+    no two Jacobians coexist and none lives next to a trial's geometry.
+    The iterate's geometry is handed to jacobian as its only holder, which
+    frees it before the first dF/dc is built, and a refused trial's is
+    freed when _trial returns.
+
+    Raises ConeBreach when no step length is even admissible, and
+    NoConvergence when the line search finds no lower candidate or
+    MAX_NEWTON_ITERS steps do not reach newton_tol; each carries the report
+    of this solve.  The converged report's state is the geometry of the
+    returned field.  When a step was damped, its branch_index is sign det M
+    of the modes that served the last Newton system (PhiModes.det_sign).
+    It is sign det J exactly when J commutes with phi-shifts, since M is
+    then J.  Otherwise it rests on M being near J: det M and det J share
+    their sign while |I - M^-1 J| < 1, which a converged GMRES does not
+    certify.
     """
     opts = opts or SolverOptions()
     report = SolveReport()
     damped = False
-    fieldv = rho0
+    fieldv, grid = rho0, rho0.grid
     state, res, margin = _evaluate(model, fieldv, psi, k)
     rnorm = float(np.abs(res).max())
     report.record(rnorm, state, margin)
@@ -521,57 +480,45 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
     for _ in range(MAX_NEWTON_ITERS):
         if rnorm <= opts.newton_tol:
             break
-        # chord is reset on every pass, so no earlier iterate outlives its step
-        chord = None if modes is None else _chord_step(model, fieldv, res, rnorm, psi, k, *modes)
-        modes = None
-        if chord is not None:
-            fieldv, state, res, margin, rnorm = chord
-            report.iterations += 1
-            report.record(rnorm, state, margin)
-            continue
-        # jacobian is the last reader of this iterate's geometry, and the list is
-        # its only other holder until the call pops it: jacobian frees it before
-        # it builds dF/dc, and no geometry is held through the linear solve
-        held, state = [state], None
-        try:
-            # J is referenced by _linear_solve alone, and freed when it returns;
-            # of its modes only the sign of their determinant is kept
-            delta, served = _linear_solve(jacobian(model, fieldv, psi, k, held.pop()),
-                                          -res.ravel(), report)
-            sign = served.det_sign()
-            del served
-        except NoConvergence as exc:
-            raise NoConvergence(str(exc), field=fieldv, report=report) from None
-        delta = delta.reshape(fieldv.grid.shape)
-
-        alpha = 1.0
-        accepted = False
-        admissible_seen = False
-        for _ in range(MAX_BACKTRACKS + 1):
-            cf = ScalarField(fieldv.grid, fieldv.values + alpha * delta)
+        trial = None                # the last step's accepted tuple is not held
+        if modes is not None:
+            step = modes[0].solve(res)
+            if np.abs(step).max() < modes[1]:
+                trial = _trial(model, grid, fieldv.values - step, rnorm, psi, k)
+            modes = step = None
+        if not trial:
+            # jacobian is the last reader of this iterate's geometry, and the list is
+            # its only other holder until the call pops it: jacobian frees it before
+            # it builds dF/dc, and no geometry is held through the linear solve
+            held, state = [state], None
             try:
-                cstate, cres, cmargin = _evaluate(model, cf, psi, k)
-            except (GeometryError, DomainError):
-                cstate = None
-            if cstate is not None and cmargin >= CONE_MARGIN:
-                admissible_seen = True
-                cnorm = float(np.abs(cres).max())
-                if cnorm < rnorm:
-                    fieldv, state, res, margin, rnorm = cf, cstate, cres, cmargin, cnorm
-                    accepted = True
+                # J is referenced by _linear_solve alone, and freed when it returns;
+                # of its modes only the sign of their determinant is kept
+                delta, served = _linear_solve(jacobian(model, fieldv, psi, k, held.pop()),
+                                              -res.ravel(), report)
+                sign = served.det_sign()
+                del served
+            except NoConvergence as exc:
+                raise NoConvergence(str(exc), field=fieldv, report=report) from None
+            delta = delta.reshape(grid.shape)
+            alpha, admissible_seen = 1.0, False
+            for _ in range(MAX_BACKTRACKS + 1):
+                trial = _trial(model, grid, fieldv.values + alpha * delta, rnorm, psi, k)
+                if trial:
                     break
-            cstate = cres = None        # a refused trial's, freed before the next one
-            alpha *= DAMPING
-        if not accepted:
-            if not admissible_seen:
-                raise ConeBreach(
-                    "no step length keeps the iterate admissible",
+                admissible_seen = admissible_seen or trial is False
+                alpha *= DAMPING
+            else:
+                if not admissible_seen:
+                    raise ConeBreach(
+                        "no step length keeps the iterate admissible",
+                        field=fieldv, report=report)
+                raise NoConvergence(
+                    f"line search stalled at residual {rnorm!r}",
                     field=fieldv, report=report)
-            raise NoConvergence(
-                f"line search stalled at residual {rnorm!r}",
-                field=fieldv, report=report)
-        del delta, cstate, cres     # the step, and aliases of the accepted iterate
-        damped = damped or alpha < 1.0
+            del delta
+            damped = damped or alpha < 1.0
+        fieldv, state, res, margin, rnorm = trial
         report.iterations += 1
         report.record(rnorm, state, margin)
 
@@ -773,23 +720,19 @@ def continuity_solve(model: SpaceFormModel, grid: SphereGrid, psi_target: Prescr
     the tangent step start - J0^-1 F(start; psi_t), with J0 the Jacobian
     at the start and psi0: a constant field with a radial prescription, so
     J0 commutes with phi-shifts for every target and PhiModes solves it
-    mode by mode, with no LU.  The predictor is skipped when the start
+    mode by mode.  The predictor is skipped when the start
     already meets newton_tol at t (the round sphere), and dropped for one
     retry of the same t from the start when the predicted field leaves
     (0, a) or is not admissible (ConeBreach at Newton's seed).  The start's
     geometry, from the t = 0 solve, serves the predictor's residual and
     J0 and is dropped once J0's modes exist; an attempt of the first stage
     after that (a retry at a halved t) assembles it again.  Later stages
-    start Newton from the last accepted solution.  Newton corrects, and
-    from a predicted seed it is given J0's modes and the sup norm of the
-    predictor's step (newton_solve's modes), whose chord step is its first
-    step when it is shorter than the predictor's and lowers the residual:
-    a kept chord step saves one Jacobian and one linear solve, one refused
-    by its length costs one mode solve, and one refused after evaluation
-    costs one residual evaluation.  The report's
-    iterations count the corrector steps only, the chord step included,
-    not the predictor, and only in accepted stages: a rejected attempt's
-    steps and matvecs go to rejected_iterations and
+    start Newton from the last accepted solution.  Newton corrects; from a
+    predicted seed it is given J0's modes and the sup norm of the
+    predictor's step, for its chord step (newton_solve's modes).  The
+    report's iterations count the corrector steps only, the chord step
+    included, not the predictor, and only in accepted stages: a rejected
+    attempt's steps and matvecs go to rejected_iterations and
     rejected_linear_iterations.
 
     The first step is FIRST_STEP, the whole path; a failed step is halved
@@ -896,14 +839,11 @@ def uniqueness_probe(model: SpaceFormModel, grid: SphereGrid, psi: Prescription,
     """Max pairwise sup deviation of Newton solutions from radial seeds.
 
     Numerical evidence for uniqueness, not certification: each seed radius
-    is solved independently and the solutions are compared."""
+    is solved independently and the solutions are compared.  The largest
+    spread max - min over the seeds at any node is that deviation, bitwise:
+    fl(max - min) is at least every fl(|s_i - s_j|) there, and is the value
+    of the pair (max, min)."""
     opts = opts or SolverOptions()
-    solutions = []
-    for r in seeds:
-        fieldv, _ = newton_solve(model, constant_field(grid, float(r)), psi, k, opts)
-        solutions.append(fieldv.values)
-    worst = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            worst = max(worst, float(np.abs(solutions[i] - solutions[j]).max()))
-    return worst
+    solutions = [newton_solve(model, constant_field(grid, float(r)), psi, k, opts)[0].values
+                 for r in seeds]
+    return float(np.ptp(np.stack(solutions), axis=0).max())

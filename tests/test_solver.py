@@ -407,6 +407,29 @@ def test_uniqueness_probe_constructed(grid16):
     assert dev < 1e-8
 
 
+def _pairwise_deviation(solutions):
+    return max(float(np.abs(a - b).max())
+               for i, a in enumerate(solutions) for b in solutions[i + 1:])
+
+
+def test_uniqueness_probe_is_the_max_pairwise_deviation(grid16, monkeypatch):
+    # three seeds: the probe's spread over the seeds is bitwise the largest
+    # pairwise sup deviation, for its own Newton solutions and for fields
+    # far apart at every node
+    m = spaceform(0)
+    psi = _aniso_target(m)
+    seeds = (0.9, 1.0, 1.1)
+    solved = [newton_solve(m, constant_field(grid16, r), psi, 2, TIGHT)[0].values
+              for r in seeds]
+    assert uniqueness_probe(m, grid16, psi, 2, TIGHT, seeds=seeds) == _pairwise_deviation(solved)
+    rng = np.random.default_rng(3)
+    fields = {r: ScalarField(grid16, r + rng.standard_normal(grid16.shape)) for r in seeds}
+    monkeypatch.setattr(solver, "newton_solve", lambda model, seed, *args: (
+        fields[float(seed.values[0, 0])], None))
+    dev = uniqueness_probe(m, grid16, psi, 2, TIGHT, seeds=seeds)
+    assert dev == _pairwise_deviation([f.values for f in fields.values()]) > 1.0
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(newton_tol=0.0)
@@ -1046,7 +1069,7 @@ def test_continuity_failed_stage_is_not_repeated(grid16, monkeypatch):
 def test_linear_solve_residual_64x128():
     # the headline target's 9-point jet Jacobian at a field that depends on
     # phi: the modes only approximate J, and GMRES reaches the goal
-    # max(REFINE_TOL |b|, REFINE_FLOOR max(|J| |x|)) on a random right-hand
+    # max(GMRES_RTOL |b|, GMRES_FLOOR max(|J| |x|)) on a random right-hand
     # side, which excites every mode
     m = spaceform(0)
     g = build_grid(64, 128)
@@ -1056,15 +1079,14 @@ def test_linear_solve_residual_64x128():
     b = np.random.default_rng(64).standard_normal(g.n_nodes)
     report = solver.SolveReport()
     x, _ = solver._linear_solve(J, b, report)
-    goal = max(solver.REFINE_TOL * np.abs(b).max(),
-               solver.REFINE_FLOOR * (abs(J) @ np.abs(x)).max())
+    goal = max(solver.GMRES_RTOL * np.abs(b).max(),
+               solver.GMRES_FLOOR * (abs(J) @ np.abs(x)).max())
     assert np.abs(J @ x - b).max() <= goal
     assert 0 < report.linear_iterations
 
 
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
-def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16,
-                                                          superlu_reference):
+def test_ez_continuation_matches_direct_solves(K, r_bar, grid16, superlu_reference):
     # for the axis e_z the phi-averaged modes of each Jacobian are J itself:
     # GMRES returns their first solve, with no matvec, and gives the field,
     # the Newton iterations and the stages of a run that solves every
@@ -1081,17 +1103,16 @@ def test_continuity_reused_lu_matches_fresh_factorizations(K, r_bar, grid16,
     assert rep_reuse.linear_iterations == 0
 
 
-@pytest.mark.parametrize("case", ["no_sweeps", "K+1"])
-def test_continuation_falls_back_to_lu_when_refinement_cannot_contract(
-        case, grid16, monkeypatch, superlu_reference):
+@pytest.mark.parametrize("case", ["restart_1", "K+1"])
+def test_tilted_continuation_gmres_matches_direct_solves(case, grid16, monkeypatch,
+                                                         superlu_reference):
     # a tilted axis makes J depend on phi, so its phi-averaged modes only
-    # approximate J.  On the problems where refinement against them once
-    # gave up for an LU (no sweep allowed at K = 0, and K = +1), GMRES
-    # preconditioned by the modes solves every Newton system with no LU and
-    # gives the field, the Newton iterations and the stages of a run that
-    # solves every system directly; "no_sweeps" restarts after each matvec
-    K, r_bar = {"no_sweeps": (0, 1.0), "K+1": (1, 0.8)}[case]
-    if case == "no_sweeps":
+    # approximate J.  At K = 0 with GMRES restarted after each matvec, and
+    # at K = +1, GMRES preconditioned by the modes solves every Newton
+    # system and gives the field, the Newton iterations and the stages of a
+    # run that solves every system directly
+    K, r_bar = {"restart_1": (0, 1.0), "K+1": (1, 0.8)}[case]
+    if case == "restart_1":
         monkeypatch.setattr(solver, "GMRES_RESTART", 1)
     m = spaceform(K)
     base = builtin(m, "round_target", r_bar=r_bar, m=4.0)
@@ -1139,11 +1160,33 @@ def _count_jacobians(monkeypatch):
     return calls
 
 
+def _without_modes(monkeypatch):
+    """Make every newton_solve call ignore modes: the run with no chord step."""
+    real_newton = solver.newton_solve
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda *args, modes=None: real_newton(*args))
+
+
+def _trace_calls(monkeypatch, *names):
+    """Patch solver's names to append (name, result) to the returned list."""
+    events = []
+    for name in names:
+        real = getattr(solver, name)
+
+        def traced(*args, _real=real, _name=name):
+            out = _real(*args)
+            events.append((_name, out))
+            return out
+
+        monkeypatch.setattr(solver, name, traced)
+    return events
+
+
 @pytest.mark.parametrize("K", [0, -1])
 def test_first_corrector_step_reuses_the_predictor_modes(K, grid16, monkeypatch):
     # the first corrector step is the chord step on the predictor's modes of
     # J0: the continuation builds J0 and then two Newton Jacobians, against
-    # J0 and three when the chord step is refused, and both reach the same
+    # J0 and three when no chord step is tried, and both reach the same
     # field in the same three corrector steps
     m = spaceform(K)
     psi = _aniso_target(m)
@@ -1151,7 +1194,7 @@ def test_first_corrector_step_reuses_the_predictor_modes(K, grid16, monkeypatch)
     f_chord, rep_chord = continuity_solve(m, grid16, psi, 2, TIGHT)
     assert len(jacobians) == 3
     jacobians.clear()
-    monkeypatch.setattr(solver, "_chord_step", lambda *args: None)
+    _without_modes(monkeypatch)
     f_newton, rep_newton = continuity_solve(m, grid16, psi, 2, TIGHT)
     assert len(jacobians) == 4
     assert rep_chord.homotopy_t == rep_newton.homotopy_t == [0.0, 1.0]
@@ -1166,46 +1209,41 @@ def test_kept_chord_step_frees_its_iterate_after_the_next_step(grid16, monkeypat
     # longer than a Newton step does
     m = spaceform(0)
     refs, alive = [], []
-    real_chord, real_jacobian = solver._chord_step, solver.jacobian
+    real_trial, real_jacobian = solver._trial, solver.jacobian
 
-    def chord(*args):
-        out = real_chord(*args)
-        refs.append(weakref.ref(out[1]))
+    def trial(*args):
+        out = real_trial(*args)
+        if not refs:                # the first trial is the chord step
+            refs.append(weakref.ref(out[1]))
         return out
 
     def jac(*args):
         alive.append([ref() is not None for ref in refs])
         return real_jacobian(*args)
 
-    monkeypatch.setattr(solver, "_chord_step", chord)
+    monkeypatch.setattr(solver, "_trial", trial)
     monkeypatch.setattr(solver, "jacobian", jac)
     continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
     assert alive == [[], [True], [False]]
 
 
+def _plus_one_ez_target(m):
+    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    return builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
+
+
 def test_refused_chord_step_leaves_the_newton_path_bitwise(grid16, monkeypatch):
     # K = +1, r_bar = 0.8: the chord step is not shorter than the
-    # predictor's step, so it is refused before it is evaluated, and Newton
-    # runs from the predicted seed exactly as a solve that was given no modes
+    # predictor's step, so it is refused before it is evaluated (no trial
+    # before the first Newton Jacobian, the one after J0), and Newton runs
+    # from the predicted seed exactly as a solve that was given no modes
     m = spaceform(1)
-    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
-    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
-    outcomes = []
-    real_chord = solver._chord_step
-
-    def chord(*args):
-        out = real_chord(*args)
-        outcomes.append(out)
-        return out
-
-    monkeypatch.setattr(solver, "_chord_step", chord)
+    psi = _plus_one_ez_target(m)
+    events = _trace_calls(monkeypatch, "jacobian", "_trial")
     f_chord, rep_chord = continuity_solve(m, grid16, psi, 2, TIGHT)
-    assert outcomes == [None]
-    real_newton = solver.newton_solve
-    monkeypatch.setattr(solver, "newton_solve",
-                        lambda *args, modes=None: real_newton(*args))
+    assert [name for name, _ in events[:2]] == ["jacobian", "jacobian"]
+    _without_modes(monkeypatch)
     f_plain, rep_plain = continuity_solve(m, grid16, psi, 2, TIGHT)
-    assert outcomes == [None]
     assert f_chord.values.tobytes() == f_plain.values.tobytes()
     assert rep_chord.residual_trace == rep_plain.residual_trace
     assert rep_chord.iterations == rep_plain.iterations
@@ -1215,38 +1253,131 @@ def test_refused_chord_step_leaves_the_newton_path_bitwise(grid16, monkeypatch):
 def test_chord_step_that_cannot_contract_is_refused_unevaluated(grid16, monkeypatch):
     # K = +1, r_bar = 0.8: M0^-1 F(seed) is longer than the predictor's step
     # M0^-1 F(start), so the chord step fails Theta < 1 and is refused with
-    # no evaluation: the solve takes 9 residual evaluations, the refused
-    # step none of them, and its field and residual trace are bitwise those
-    # of a solve that never tries the step
+    # no evaluation: between J0 and the first Newton Jacobian the only
+    # evaluation is the seed's, the solve takes 9 residual evaluations, and
+    # its field and residual trace are bitwise those of a solve that never
+    # tries the step
     m = spaceform(1)
-    base = builtin(m, "round_target", r_bar=0.8, m=4.0)
-    psi = builtin(m, "anisotropic", base=base, epsilon=0.2, axis=(0.0, 0.0, 1.0))
-    calls, inside = [], []
-    real_evaluate, real_chord = solver._evaluate, solver._chord_step
-
-    def evaluate(*args):
-        calls.append(1)
-        return real_evaluate(*args)
-
-    def chord(*args):
-        before = len(calls)
-        out = real_chord(*args)
-        inside.append((out, len(calls) - before))
-        return out
-
-    monkeypatch.setattr(solver, "_evaluate", evaluate)
-    monkeypatch.setattr(solver, "_chord_step", chord)
+    psi = _plus_one_ez_target(m)
+    events = _trace_calls(monkeypatch, "jacobian", "_evaluate")
     f_chord, rep_chord = continuity_solve(m, grid16, psi, 2, TIGHT)
-    assert inside == [(None, 0)]
-    assert len(calls) == 9
-    real_newton = solver.newton_solve
-    monkeypatch.setattr(solver, "newton_solve",
-                        lambda *args, modes=None: real_newton(*args))
-    calls.clear()
+    names = [name for name, _ in events]
+    first, second = [i for i, name in enumerate(names) if name == "jacobian"][:2]
+    assert names[first + 1:second] == ["_evaluate"]
+    assert names.count("_evaluate") == 9
+    events.clear()
+    _without_modes(monkeypatch)
     f_plain, rep_plain = continuity_solve(m, grid16, psi, 2, TIGHT)
-    assert len(calls) == 9
+    assert [name for name, _ in events].count("_evaluate") == 9
     assert f_chord.values.tobytes() == f_plain.values.tobytes()
     assert rep_chord.residual_trace == rep_plain.residual_trace
+
+
+def test_chord_step_refused_after_its_evaluation_leaves_the_newton_path_bitwise(
+        grid16, monkeypatch):
+    # e_z, K = 0: the chord step passes the length test; forcing its trial
+    # to refuse the candidate makes Newton build J at the predicted seed,
+    # four Jacobians in all, and run bitwise as a solve given no modes
+    m = spaceform(0)
+    psi = _aniso_target(m)
+    real_trial = solver._trial
+    refused = []
+
+    def trial(*args):
+        out = real_trial(*args)
+        if not refused:
+            refused.append(out)
+            return False
+        return out
+
+    jacobians = _count_jacobians(monkeypatch)
+    monkeypatch.setattr(solver, "_trial", trial)
+    f_refused, rep_refused = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert len(refused) == 1 and refused[0]
+    assert len(jacobians) == 4
+    monkeypatch.setattr(solver, "_trial", real_trial)
+    _without_modes(monkeypatch)
+    f_plain, rep_plain = continuity_solve(m, grid16, psi, 2, TIGHT)
+    assert f_refused.values.tobytes() == f_plain.values.tobytes()
+    assert rep_refused.residual_trace == rep_plain.residual_trace
+    assert rep_refused.iterations == rep_plain.iterations == 3
+
+
+def test_continuation_admits_every_corrector_step_by_one_trial(grid16, monkeypatch):
+    # e_z, K = 0: each of the three corrector steps is one _trial, the
+    # first (the chord step) before any Newton Jacobian, the others at
+    # alpha = 1; K = +1 tries no chord step, so no trial precedes its first
+    # Newton Jacobian
+    m = spaceform(0)
+    events = _trace_calls(monkeypatch, "jacobian", "_trial")
+    _, report = continuity_solve(m, grid16, _aniso_target(m), 2, TIGHT)
+    names = [name for name, _ in events]
+    assert report.iterations == 3
+    assert names.count("_trial") == 3
+    assert names[:2] == ["jacobian", "_trial"]
+    assert all(out for name, out in events if name == "_trial")
+    events.clear()
+    m = spaceform(1)
+    continuity_solve(m, grid16, _plus_one_ez_target(m), 2, TIGHT)
+    names = [name for name, _ in events]
+    assert names[:2] == ["jacobian", "jacobian"]
+
+
+def test_trial_admits_only_an_admissible_lower_candidate(grid16):
+    # None outside (0, a) and for a saddle below the cone; False for an
+    # admissible candidate that does not lower rnorm; else the tuple, whose
+    # residual and margin are _evaluate's
+    m = spaceform(1)
+    psi = builtin(m, "round_target", r_bar=0.8, m=4.0)
+    tt, pp = grid16.mesh()
+    inside = 0.8 + 0.01 * np.cos(tt)
+    assert solver._trial(m, grid16, np.full(grid16.shape, m.a + 0.1), 1.0, psi, 2) is None
+    assert solver._trial(m, grid16, -inside, 1.0, psi, 2) is None
+    # in K = 0 the saddle is inside the domain, with a finite geometry
+    m0 = spaceform(0)
+    saddle = 1.0 + 0.9 * np.sin(tt) * np.cos(2.0 * pp)
+    assert solver._evaluate(m0, ScalarField(grid16, saddle), None, 2)[2] < 0.0
+    assert solver._trial(m0, grid16, saddle, math.inf, _aniso_target(m0), 2) is None
+    _, res, margin = solver._evaluate(m, ScalarField(grid16, inside), psi, 2)
+    rnorm = float(np.abs(res).max())
+    assert margin >= solver.CONE_MARGIN and rnorm > 0.0
+    assert solver._trial(m, grid16, inside, rnorm, psi, 2) is False
+    out = solver._trial(m, grid16, inside, math.nextafter(rnorm, math.inf), psi, 2)
+    cf, state, cres, cmargin, cnorm = out
+    assert cf.values.tobytes() == inside.tobytes() and state.grid is grid16
+    assert cres.tobytes() == res.tobytes() and (cmargin, cnorm) == (margin, rnorm)
+
+
+def test_newton_line_search_stalls_below_the_roundoff_floor(grid16):
+    # from the converged e_z K = 0 field, newton_tol = 1e-300 asks for a
+    # residual below roundoff: two steps still lower it, then every step
+    # length of the third is admissible but none is lower
+    m = spaceform(0)
+    psi = _aniso_target(m)
+    f, _ = continuity_solve(m, grid16, psi, 2, TIGHT)
+    with pytest.raises(NoConvergence, match="line search stalled") as info:
+        newton_solve(m, f, psi, 2, SolverOptions(newton_tol=1e-300))
+    assert not isinstance(info.value, ConeBreach)
+    assert info.value.report.iterations == 2
+    assert info.value.field is not None
+
+
+def test_newton_raises_cone_breach_when_no_step_length_is_admissible(grid16, monkeypatch):
+    # a seed exactly at the cone margin and a direction that only shrinks
+    # the curvatures: every step length leaves the cone, so the line search
+    # sees no admissible candidate
+    m = spaceform(0)
+    psi = builtin(m, "constant", c=1.0)
+    seed = constant_field(grid16, 1.3)
+    _, _, margin = solver._evaluate(m, seed, psi, 2)
+    monkeypatch.setattr(solver, "CONE_MARGIN", margin)
+    monkeypatch.setattr(solver, "_linear_solve",
+                        lambda J, rhs, report=None: (np.ones_like(rhs), solver.PhiModes(J)))
+    with pytest.raises(ConeBreach, match="no step length keeps the iterate admissible") as info:
+        newton_solve(m, seed, psi, 2, TIGHT)
+    assert info.value.report.iterations == 0
+    assert info.value.report.cone_margin == [margin]
+    assert info.value.field is seed
 
 
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), TILTED_AXIS])
@@ -1361,7 +1492,7 @@ def test_solve_traced_memory_peak_64x128():
     assert peak < 4.1 * 2**20
 
 
-def test_continuation_reports_factorizations_and_sweeps(grid16):
+def test_continuation_summary_reports_its_linear_iterations(grid16):
     # the headline's axis is e_z, so each J commutes with phi-shifts and
     # the modes of J itself solve its system: no GMRES matvec
     m = spaceform(0)
@@ -1373,7 +1504,7 @@ def test_continuation_reports_factorizations_and_sweeps(grid16):
     assert summary["branch_rejections"] == 0
 
 
-def test_lone_newton_solve_factors_no_lu(grid16):
+def test_lone_newton_solve_takes_no_gmres_matvec_on_the_ez_axis(grid16):
     # a Newton solve outside a continuation takes the same path: each
     # system is preconditioned by the modes of its own J, which on the e_z
     # headline solve it exactly, so GMRES takes no matvec
@@ -1383,7 +1514,7 @@ def test_lone_newton_solve_factors_no_lu(grid16):
     assert report.linear_iterations == 0
 
 
-def test_tilted_continuation_refines_without_lu(grid16):
+def test_tilted_continuation_takes_gmres_matvecs(grid16):
     # a tilted axis makes J depend on phi, so its phi-averaged modes only
     # approximate it: the K = 0 continuation reaches the solution by GMRES
     # matvecs preconditioned by them
