@@ -9,6 +9,7 @@ runs serially; repeat runs write bitwise-identical artifacts.
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,8 +17,8 @@ from .config import ConfigError, RunConfig, parse_config
 from .export import (field_from_node_table, write_mesh, write_node_table,
                      write_report)
 from .geometry import GeometryError, assemble
-from .prescription import (MONOTONE_SAMPLES, MONOTONE_TOL, check_barriers,
-                           check_monotonicity, default_rho_samples)
+from .prescription import (MONOTONE_SAMPLES, check_barriers, check_monotonicity,
+                           default_rho_samples)
 from .solver import NoConvergence, SolveReport, _residual_of, continuity_solve
 from .spaceform import DomainError
 
@@ -80,19 +81,8 @@ def cmd_check(cfg: RunConfig) -> int:
     mapping = {"psi_family": cfg.psi.family, "K": cfg.model.K, "k": cfg.k}
     reports = []
     if cfg.check_barriers:
-        if cfg.barriers is None:
-            raise ConfigError("barrier check requested without barriers.R1/R2")
-        rep = check_barriers(cfg.psi, cfg.model, cfg.barriers[0], cfg.barriers[1],
-                             cfg.grid.n_theta, cfg.grid.n_phi)
-        mapping.update({
-            "R1": rep.R1, "R2": rep.R2,
-            "barrier_low_ok": rep.barrier_low_ok,
-            "barrier_high_ok": rep.barrier_high_ok,
-            "barrier_low_margin": rep.barrier_low_margin,
-            "barrier_high_margin": rep.barrier_high_margin,
-            "barrier_samples": rep.barrier_samples,
-        })
-        reports.append(rep)
+        reports.append(check_barriers(cfg.psi, cfg.model, cfg.barriers[0], cfg.barriers[1],
+                                      cfg.grid.n_theta, cfg.grid.n_phi))
     if cfg.check_monotonicity:
         if cfg.check_rho_lo is not None:
             samples = np.linspace(cfg.check_rho_lo, cfg.check_rho_hi, MONOTONE_SAMPLES)
@@ -101,20 +91,15 @@ def cmd_check(cfg: RunConfig) -> int:
         else:
             samples = default_rho_samples(cfg.model)
         try:
-            rep = check_monotonicity(cfg.psi, cfg.model, rho_samples=samples)
+            reports.append(check_monotonicity(cfg.psi, cfg.model, rho_samples=samples))
         except DomainError as exc:
             raise ConfigError(f"monotonicity check: a sample radius leaves the "
                               f"domain: {exc}") from None
-        mapping.update({
-            "monotone_ok": rep.monotone_ok,
-            "monotone_max_derivative": rep.monotone_max_derivative,
-            "monotone_tol": MONOTONE_TOL,
-            "monotone_samples": rep.monotone_samples,
-        })
-        reports.append(rep)
     if not reports:
         raise ConfigError("check: nothing requested "
                           "(enable check.barriers or check.monotonicity)")
+    for rep in reports:     # the fields each checker filled, in ConditionReport's order
+        mapping.update((key, value) for key, value in asdict(rep).items() if value is not None)
     all_ok = all(rep.all_ok for rep in reports)
     mapping["all_ok"] = all_ok
     write_report(cfg.report_path, mapping)

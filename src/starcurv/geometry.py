@@ -4,16 +4,15 @@ From a height field rho the hypersurface {(z, rho(z))} inherits, per node:
 the induced metric g, the second fundamental form h taken with respect to
 the outward normal, the principal curvatures (the eigenvalues of the
 Weingarten map g^{-1} h), the support function u, and the chart-embedded
-unit normal.  A GeometryState keeps 17 node arrays: rho and its
-first-order jet (d_t, d_p, |grad rho|^2), the warp and its derivative,
-g, h, the two principal curvatures and the normal's three components.
-What a reader can rebuild from those is derived on each read, bitwise as
+unit normal.  A GeometryState keeps 17 node arrays: rho, its partials
+d_t and d_p and grad_sq = |grad rho|^2, the warp and its derivative, g,
+h, the two principal curvatures and the normal's three components.  What
+a reader can rebuild from those is derived on each read, bitwise as
 pointwise_geometry computes it: det g, the inverse metric and u.  The
 jet's covariant Hessian is read only to build h, and the radial potential
 (the warp integral) only by hessian_identity_residual, so neither is
-stored.  Component conventions:
-symmetric 2x2 tensors are stored as the (tt, tp, pp) triple of coordinate
-components on the (theta, phi) chart.
+stored.  Component conventions: symmetric 2x2 tensors are stored as the
+(tt, tp, pp) triple of coordinate components on the (theta, phi) chart.
 
 The *_identity_residual functions are discrete diagnostics: they compare
 independent finite-difference evaluations of both sides of structural
@@ -37,20 +36,12 @@ class GeometryError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class FirstOrderJet:
-    """Value and gradient of rho: a CovariantJet without its Hessian."""
-
-    value: np.ndarray
-    d_t: np.ndarray
-    d_p: np.ndarray
-    grad_sq: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class GeometryState:
     grid: SphereGrid
     rho: np.ndarray
-    jet: FirstOrderJet              # value and gradient of rho
+    d_t: np.ndarray                 # d rho / dtheta
+    d_p: np.ndarray                 # d rho / dphi
+    grad_sq: np.ndarray             # |grad rho|^2 in the round metric
     phi: np.ndarray                 # warp factor at rho
     dphi: np.ndarray                # warp derivative at rho
     g_tt: np.ndarray
@@ -67,7 +58,7 @@ class GeometryState:
     def u(self):
         """The support function phi^2 / sqrt(phi^2 + |grad rho|^2), built on
         each read."""
-        return self.phi * self.phi / np.sqrt(self.phi * self.phi + self.jet.grad_sq)
+        return self.phi * self.phi / np.sqrt(self.phi * self.phi + self.grad_sq)
 
     @property
     def det_g(self):
@@ -164,7 +155,7 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     h_pp = pref * (-jet.hess_pp + two_q * dp * dp + phi * dphi * st2)
     for arr in (h_tt, h_tp, h_pp):
         _screen_finite(g, "second fundamental form", arr)
-    jet = FirstOrderJet(rho, dt, dp, w)     # the Hessian is read only to build h
+    del jet                         # its Hessian is read only to build h
     kappa1, kappa2 = _principal_curvatures(g, det_g, g_tt, g_tp, g_pp, h_tt, h_tp, h_pp)
 
     # chart-embedded unit normal (phi z - f_t e_t - f_p / sin(theta) e_p) / sroot,
@@ -176,7 +167,7 @@ def pointwise_geometry(model: SpaceFormModel, g: SphereGrid,
     for c in range(3):
         nu[..., c] = coef * (-dt * e_t[..., c] - fp * e_p[..., c] + phi * z[..., c])
 
-    return GeometryState(grid=g, rho=rho, jet=jet, phi=phi, dphi=dphi,
+    return GeometryState(grid=g, rho=rho, d_t=dt, d_p=dp, grad_sq=w, phi=phi, dphi=dphi,
                          g_tt=g_tt, g_tp=g_tp, g_pp=g_pp,
                          h_tt=h_tt, h_tp=h_tp, h_pp=h_pp,
                          kappa1=kappa1, kappa2=kappa2, nu=nu)
@@ -240,7 +231,7 @@ def _surface_hessian(state: GeometryState, values: np.ndarray, chris) -> tuple:
 
 def _grad_pot(state: GeometryState):
     """Surface gradient of the radial potential: chain rule, phi * d(rho)."""
-    return state.phi * state.jet.d_t, state.phi * state.jet.d_p
+    return state.phi * state.d_t, state.phi * state.d_p
 
 
 def _raise_index(state: GeometryState, v_t, v_p):

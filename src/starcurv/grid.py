@@ -10,8 +10,10 @@ rows plus columns wrapped in phi) and one 2-D stencil table (stencil_2d,
 outer products of the 1-D STENCILS: order 2 for the solver, order 4 for
 the geometry diagnostics).  jet_weights is the order-2 jet on the 9-point
 footprint of StencilOperator, the operator the solver's Jacobian is,
-whose matvec is nine slices of the same halo; its tocsc() is the tests'
-reference matrix, and the only place that imports scipy.sparse.
+whose taps are nine slices of the same halo: its matvec reads them, and
+the solver's preconditioner reads the neighbours' node numbers from them.
+Its tocsc() is the tests' reference matrix, and the only place that
+imports scipy.sparse.
 """
 
 from __future__ import annotations
@@ -263,10 +265,12 @@ class StencilOperator:
 
     data[i, j, o], shape (n_theta, n_phi, 9), is the weight of the
     neighbour of node (i, j) at OFFSETS[o]; a neighbour beyond a pole is
-    pad_poles' ghost, the pole row's node half a turn away.  op @ x adds
-    the nine shifted-slice products up in offset order, which is the matvec
-    of the CSR matrix whose row (i, j) holds data[i, j] in that order,
-    bitwise.  x is a field of the grid's shape or flat over its nodes, and
+    pad_poles' ghost, the pole row's node half a turn away.  taps(x) are
+    the nine neighbour fields of x, so taps of the node numbers are the
+    neighbours' node numbers, the one place the footprint is written.
+    op @ x adds the nine products data[..., o] * taps(x)[o] up in offset
+    order, which is the matvec of the CSR matrix whose row (i, j) holds
+    data[i, j] in that order, bitwise.  x is a field of the grid's shape or flat over its nodes, and
     so is op @ x.  abs(op) has the weights |data|; op.abs_matvec(x) is
     abs(op) @ x, bitwise, with no second weight table.  tocsc() is that
     matrix, the tests' reference for dense and sparse direct solves; no
@@ -276,7 +280,7 @@ class StencilOperator:
     grid: SphereGrid
     data: np.ndarray
 
-    def _taps(self, x) -> list:
+    def taps(self, x) -> list:
         """The neighbour at each of OFFSETS of every node of field x: nine
         slices of the halo of x."""
         nt, n_p = self.grid.shape
@@ -285,7 +289,7 @@ class StencilOperator:
 
     def _combine(self, x, weight):
         """sum over o of weight(data[..., o]) * tap o of x, in offset order."""
-        taps = self._taps(x)
+        taps = self.taps(x)
         y = weight(self.data[..., 0]) * taps[0]
         for o in range(1, len(OFFSETS)):
             y += weight(self.data[..., o]) * taps[o]
@@ -303,7 +307,7 @@ class StencilOperator:
     def tocsc(self):
         import scipy.sparse
         n = self.grid.n_nodes
-        cols = np.stack(self._taps(np.arange(n, dtype=float)), axis=-1).astype(np.intp)
+        cols = np.stack(self.taps(np.arange(n, dtype=float)), axis=-1).astype(np.intp)
         return scipy.sparse.csr_matrix((self.data.ravel(), cols.ravel(),
                                         np.arange(0, 9 * n + 1, 9)), shape=(n, n)).tocsc()
 

@@ -81,7 +81,7 @@ class Prescription:
             i = int(np.argmax(bad))
             raise ValueError(
                 f"prescription {self.family!r} is not strictly positive "
-                f"(min {np.nanmin(vals[i])!r} at rho={radii[i]!r})")
+                f"(min {float(np.nanmin(vals[i]))!r} at rho={float(radii[i])!r})")
 
     def blend(self, other: "Prescription", t: float) -> "Prescription":
         """Convex combination (1-t) self + t other, partials too; positivity is inherited.
@@ -168,24 +168,28 @@ def builtin(model: SpaceFormModel, family: str, k: int = 2, **params) -> Prescri
 
 @dataclass
 class ConditionReport:
-    """Outcome of the solvability-condition checkers.
+    """Outcome of the solvability-condition checkers; its fields, in their
+    order, are `starcurv check`'s report keys, and a checker leaves the
+    other checker's fields None.
 
-    Barrier margins are the signed slack of the inequalities (>= 0 passes).
-    The monotonicity field stores the worst (largest) radial derivative of
-    warp^k * psi over the sample set; the check passes when it does not
-    exceed MONOTONE_TOL.
+    Barrier margins are the signed slack of the inequalities (>= 0 passes)
+    at the radii R1 < R2, worst-case over barrier_samples directions.  The
+    monotonicity fields store the worst (largest) radial derivative of
+    warp^k * psi over monotone_samples samples; the check passes when it
+    does not exceed monotone_tol (MONOTONE_TOL).
     """
 
-    barrier_low_ok: Optional[bool] = None
-    barrier_high_ok: Optional[bool] = None
-    monotone_ok: Optional[bool] = None
-    barrier_low_margin: Optional[float] = None
-    barrier_high_margin: Optional[float] = None
-    monotone_max_derivative: Optional[float] = None
-    barrier_samples: int = 0
-    monotone_samples: int = 0
     R1: Optional[float] = None
     R2: Optional[float] = None
+    barrier_low_ok: Optional[bool] = None
+    barrier_high_ok: Optional[bool] = None
+    barrier_low_margin: Optional[float] = None
+    barrier_high_margin: Optional[float] = None
+    barrier_samples: Optional[int] = None
+    monotone_ok: Optional[bool] = None
+    monotone_max_derivative: Optional[float] = None
+    monotone_tol: Optional[float] = None
+    monotone_samples: Optional[int] = None
 
     @property
     def all_ok(self) -> bool:
@@ -213,12 +217,12 @@ def check_barriers(psi: Prescription, model: SpaceFormModel, R1: float, R2: floa
     low_margin = float(np.min(low_vals - model.sphere_sigma(R1, psi.k)))
     high_margin = float(np.min(model.sphere_sigma(R2, psi.k) - high_vals))
     return ConditionReport(
+        R1=float(R1), R2=float(R2),
         barrier_low_ok=low_margin >= 0.0,
         barrier_high_ok=high_margin >= 0.0,
         barrier_low_margin=low_margin,
         barrier_high_margin=high_margin,
-        barrier_samples=len(z),
-        R1=float(R1), R2=float(R2))
+        barrier_samples=len(z))
 
 
 def default_rho_samples(model: SpaceFormModel) -> np.ndarray:
@@ -251,4 +255,5 @@ def check_monotonicity(psi: Prescription, model: SpaceFormModel,
     return ConditionReport(
         monotone_ok=worst <= MONOTONE_TOL,
         monotone_max_derivative=worst,
+        monotone_tol=MONOTONE_TOL,
         monotone_samples=int(deriv.size))

@@ -130,7 +130,7 @@ class SolveReport:
 
     def record(self, rnorm: float, state: GeometryState, margin: float):
         kmax = np.maximum(np.abs(state.kappa1), np.abs(state.kappa2)).max()
-        values = (rnorm, state.rho.min(), state.rho.max(), np.sqrt(state.jet.grad_sq.max()),
+        values = (rnorm, state.rho.min(), state.rho.max(), np.sqrt(state.grad_sq.max()),
                   kmax, state.u.min(), margin)
         for name, value in zip(MONITORS, values):
             getattr(self, name).append(float(value))
@@ -221,7 +221,7 @@ def _sigma_linearized(K: int, state: GeometryState, k: int):
     st, ct = g.sin_t, g.cos_t
     st2 = st * st
     phi, dphi = state.phi, state.dphi
-    ft, fp, w = state.jet.d_t, state.jet.d_p, state.jet.grad_sq
+    ft, fp, w = state.d_t, state.d_p, state.grad_sq
     g_tt, g_tp, g_pp = state.g_tt, state.g_tp, state.g_pp
     h_tt, h_tp, h_pp = state.h_tt, state.h_tp, state.h_pp
     det_g = state.det_g
@@ -281,8 +281,8 @@ def _psi_linearized(state: GeometryState, psi: Prescription):
     psi_nu = np.broadcast_to(psi_nu, frame[0].shape)    # a radial psi's is the scalar 0
     p_z, p_t, p_p = (psi_nu[..., 0] * e[..., 0] + psi_nu[..., 1] * e[..., 1]
                      + psi_nu[..., 2] * e[..., 2] for e in frame)
-    phi, ft, fp = state.phi, state.jet.d_t, state.jet.d_p / g.sin_t
-    s2 = phi * phi + state.jet.grad_sq
+    phi, ft, fp = state.phi, state.d_t, state.d_p / g.sin_t
+    s2 = phi * phi + state.grad_sq
     sroot = np.sqrt(s2)
     a = (p_z * phi - p_t * ft - p_p * fp) / s2      # (psi_nu . nu) / S
     return [psi_rho + state.dphi * (p_z - a * phi) / sroot,
@@ -380,8 +380,9 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
     residual is not finite either, since every node reads itself), raises
     NoConvergence, as does a residual above the goal after
     GMRES_MAX_CYCLES cycles.  |J| |x| is computed only when the residual
-    is above GMRES_RTOL |rhs|.  Returns (x, M).  report, if given, counts
-    the matvecs in linear_iterations.
+    is above GMRES_RTOL |rhs|.  Returns x and sign det M
+    (PhiModes.det_sign).  report, if given, counts the matvecs in
+    linear_iterations.
     """
     modes = PhiModes(J)
     x = modes.solve(rhs)
@@ -392,9 +393,9 @@ def _linear_solve(J: StencilOperator, rhs: np.ndarray,
         if not rnorm < last:
             raise NoConvergence("linear solve failed: singular Jacobian")
         if rnorm <= tol or rnorm <= (floor := GMRES_FLOOR * J.abs_matvec(np.abs(x)).max()):
-            return x, modes
+            return x, modes.det_sign()
         if cycle == GMRES_MAX_CYCLES:
-            raise NoConvergence(f"linear solve failed: residual {rnorm!r} after "
+            raise NoConvergence(f"linear solve failed: residual {float(rnorm)!r} after "
                                 f"{GMRES_MAX_CYCLES} GMRES cycles")
         dx, matvecs = _gmres_cycle(J, modes, r, max(tol, floor))
         if report is not None:
@@ -492,12 +493,10 @@ def newton_solve(model: SpaceFormModel, rho0: ScalarField, psi: Prescription,
             # it builds dF/dc, and no geometry is held through the linear solve
             held, state = [state], None
             try:
-                # J is referenced by _linear_solve alone, and freed when it returns;
-                # of its modes only the sign of their determinant is kept
-                delta, served = _linear_solve(jacobian(model, fieldv, psi, k, held.pop()),
-                                              -res.ravel(), report)
-                sign = served.det_sign()
-                del served
+                # J and its modes are referenced by _linear_solve alone, and freed
+                # when it returns
+                delta, sign = _linear_solve(jacobian(model, fieldv, psi, k, held.pop()),
+                                            -res.ravel(), report)
             except NoConvergence as exc:
                 raise NoConvergence(str(exc), field=fieldv, report=report) from None
             delta = delta.reshape(grid.shape)
@@ -633,22 +632,20 @@ def _phi_bands(J: StencilOperator) -> np.ndarray:
 
     bands[b, i, d] is the mean over j of J[(i, j), (i + b - 1, j + d)], the
     coupling of node (i, j) to theta-row i - 1, i or i + 1 (b = 0, 1, 2)
-    at phi-offset d mod n_phi, read from J.data[i, :, o] with OFFSETS[o] =
-    (b - 1, d).  A ghost beyond a pole is a node of the pole row itself,
-    half a turn away, so a pole row's offset (-1, dj) or (1, dj) lands in
-    b = 1 at d = n_phi/2 + dj.  For a J that commutes with phi-shifts every
-    j gives the same value, and the mean is J's own C_i,i+b-1(d).  The sum
-    adds the j up in order (numpy reduces a middle axis one slice at a
-    time), so the bands are bitwise those of J's CSR rows.
+    at phi-offset d mod n_phi.  Each sum over j of J.data[i, :, o] lands
+    at the (b, d) of the neighbour at OFFSETS[o] of node (i, 0), read by
+    node number from J.taps; a grid's even n_phi >= 8 keeps those (b, d)
+    apart.  For a J that commutes with phi-shifts every j gives the same
+    value, and the mean is J's own C_i,i+b-1(d).  The sum adds the j up in
+    order (numpy reduces a middle axis one slice at a time), so the bands
+    are bitwise those of J's CSR rows.
     """
     n_t, n_p = J.grid.shape
-    sums = J.data.sum(axis=1).reshape(n_t, 3, 3).transpose(1, 0, 2)   # [b, i, dj + 1]
-    d = np.arange(-1, 2) % n_p
+    nodes = np.stack([t[:, 0] for t in J.taps(np.arange(J.grid.n_nodes, dtype=float))], axis=-1)
+    row, d = np.divmod(nodes.astype(np.intp), n_p)          # of neighbour o of node (i, 0)
+    i = np.arange(n_t)[:, None]
     bands = np.zeros((3, n_t, n_p))
-    bands[:, :, d] = sums
-    for b, i in ((0, 0), (2, -1)):
-        bands[1, i, (n_p // 2 + d) % n_p] = sums[b, i]
-        bands[b, i, d] = 0.0
+    bands[row - i + 1, i, d] = J.data.sum(axis=1)
     return bands / n_p
 
 
@@ -659,14 +656,13 @@ class PhiModes:
     j')] = C_ii'(j' - j).  It maps x_i' w^(m j'), w = exp(2 pi i / n_phi),
     to (B_m x)_i w^(m j) with B_m = sum_d C(d) w^(md): J x = b splits into
     one n_theta x n_theta system per mode m = 0 .. n_phi/2 of the real FFT
-    in phi.  The 9-point stencil makes every B_m tridiagonal, since the
-    pole ghosts land on the diagonal (_phi_bands).  The C are J's
-    coefficients averaged over phi, which is J itself when J commutes with
-    phi-shifts (the predictor's J0) and otherwise the optimal circulant
-    approximation in phi of T. Chan (SIAM J. Sci. Stat. Comput. 9, 1988),
-    which preconditions _linear_solve's GMRES.  The B_m are factored
-    by Thomas elimination (no pivoting), one sweep vectorized over the
-    modes.
+    in phi, and the 9-point stencil makes every B_m tridiagonal.  The C are
+    J's coefficients averaged over phi (_phi_bands), which is J itself when
+    J commutes with phi-shifts (the predictor's J0) and otherwise the
+    optimal circulant approximation in phi of T. Chan (SIAM J. Sci. Stat.
+    Comput. 9, 1988), which preconditions _linear_solve's GMRES.  The B_m
+    are factored by Thomas elimination (no pivoting), one sweep vectorized
+    over the modes.
     """
 
     __slots__ = ("_shape", "_sub", "_piv", "_ratio")

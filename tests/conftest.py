@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -23,8 +21,8 @@ def _superlu_solve(J, rhs, report=None):
     lu = solver.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
     x = lu.solve(rhs)
     x += lu.solve(rhs - J @ x)
-    # what served the system: a damped solve's branch index is the LU's sign
-    return x, SimpleNamespace(det_sign=lambda: lu_det_sign(lu))
+    # a damped solve's branch index is the LU's sign
+    return x, lu_det_sign(lu)
 
 
 @pytest.fixture

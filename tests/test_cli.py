@@ -833,6 +833,62 @@ check.monotonicity = false
     assert float(report["barrier_high_margin"]) == pytest.approx(high, abs=1e-10)
 
 
+def test_check_report_keys_are_the_condition_report_fields_in_order(tmp_path):
+    # both checkers run: the run's psi_family, K and k, then ConditionReport's
+    # fields in their order, then all_ok
+    cfg = write_cfg(tmp_path / "anisotropic.cfg",
+                    (ROOT / "configs" / "anisotropic.cfg").read_text())
+    assert main(["check", str(cfg)]) == 0
+    assert list(read_report(tmp_path / "aniso_report.txt")) == (
+        "psi_family K k R1 R2 barrier_low_ok barrier_high_ok barrier_low_margin "
+        "barrier_high_margin barrier_samples monotone_ok monotone_max_derivative "
+        "monotone_tol monotone_samples all_ok").split()
+
+
+def _edit(old, new):
+    return ROUND_CFG.replace(old, new)
+
+
+CONFIG_REJECTIONS = {
+    "duplicate_key": (ROUND_CFG + "grid.n_theta = 16\n", "duplicate key 'grid.n_theta'"),
+    "line_without_equals": (ROUND_CFG + "grid.n_theta\n", "expected 'key = value'"),
+    "missing_key": (_edit("grid.n_phi = 32\n", ""), "missing required key 'grid.n_phi'"),
+    "unparsable_int": (_edit("grid.n_theta = 16", "grid.n_theta = abc"), "cannot parse 'abc'"),
+    "unknown_base_family": (
+        _edit("psi.family = constant\npsi.c = 1.0", "psi.family = anisotropic\n"
+              "psi.base_family = cubic\npsi.c = 1.0\npsi.epsilon = 0.2\npsi.axis_z = 1.0"),
+        "unknown prescription family 'cubic'"),
+    "unknown_family": (_edit("psi.family = constant", "psi.family = spline"),
+                       "unknown prescription family 'spline'"),
+    "degree_3": (_edit("problem.k = 2", "problem.k = 3"), "problem.k must be 1 or 2"),
+    "barriers_reversed": (ROUND_CFG + "barriers.R1 = 2.0\nbarriers.R2 = 1.0\n",
+                          "0 < R1 < R2 < a, got (2.0, 1.0)"),
+    "grid_too_small": (_edit("grid.n_theta = 16", "grid.n_theta = 4"), "grid too small"),
+    "nothing_requested": (ROUND_CFG + "check.monotonicity = false\n", "nothing requested"),
+}
+
+
+@pytest.mark.parametrize("body,cause", CONFIG_REJECTIONS.values(), ids=CONFIG_REJECTIONS.keys())
+def test_check_rejects_bad_config_with_exit_2_naming_the_cause(tmp_path, capsys, body, cause):
+    cfg = write_cfg(tmp_path / "run.cfg", body)
+    assert main(["check", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and cause in err
+    assert out == "" and not (tmp_path / "report.txt").exists()
+
+
+def test_positivity_probe_message_prints_plain_floats(tmp_path, capsys):
+    # warp(rho)^-2000 overflows at the first probe radius, 0.5 for K = 0
+    body = _edit("psi.family = constant", "psi.family = radial_power") + "psi.m = 2000\n"
+    cfg = write_cfg(tmp_path / "run.cfg", body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: prescription: prescription 'radial_power' is not strictly "
+        "positive (min inf at rho=0.5)\n")
+
+
 def test_solve_repeat_runs_bit_identical(tmp_path):
     body = ROUND_CFG.replace("psi.family = constant\npsi.c = 1.0",
                              "psi.family = anisotropic\npsi.base_family = round_target\n"

@@ -66,9 +66,9 @@ def test_metric_inverse_matches_sherman_morrison_form():
     state = assemble(m, f)
     st2 = np.sin(g.theta)[:, None] ** 2
     phi2 = state.phi**2
-    denom = phi2 + state.jet.grad_sq
-    up_t = state.jet.d_t
-    up_p = state.jet.d_p / st2
+    denom = phi2 + state.grad_sq
+    up_t = state.d_t
+    up_p = state.d_p / st2
     alt_tt = (1.0 - up_t * up_t / denom) / phi2
     alt_tp = (0.0 - up_t * up_p / denom) / phi2
     alt_pp = (1.0 / st2 - up_p * up_p / denom) / phi2
@@ -104,12 +104,10 @@ def test_derived_inverse_metric_and_curvatures_match_the_stored_formulas_bitwise
 
 
 def _node_arrays(state):
-    """Full-grid arrays held in a state's fields and its jet's, in units of
-    one node array (nu counts three); rho is the jet's value."""
+    """Full-grid arrays held in a state's fields, in units of one node array
+    (nu counts three)."""
     n = state.grid.n_nodes
     held = [getattr(state, f.name) for f in dataclasses.fields(state)]
-    held += [getattr(state.jet, f.name) for f in dataclasses.fields(state.jet)
-             if f.name != "value"]
     return sum(a.size // n for a in held if isinstance(a, np.ndarray))
 
 
@@ -128,7 +126,6 @@ def test_state_holds_17_node_arrays_and_derives_u_bitwise(K):
     g = build_grid(16, 32)
     f = _tilt_field(g, radius_for(K))
     s = assemble(m, f)
-    assert s.jet.value is s.rho
     assert _node_arrays(s) == 17
     jet = covariant_jet(f)
     phi = m.warp(f.values)
@@ -150,7 +147,7 @@ def test_hessian_identity_residual_of_the_unstored_potential_is_unchanged(K):
     s = assemble(m, f, order=4)
     chris = geometry._surface_christoffels(s)
     H = geometry._surface_hessian(s, POTENTIAL[K](s.rho), chris)
-    u = s.phi * s.phi / np.sqrt(s.phi * s.phi + s.jet.grad_sq)
+    u = s.phi * s.phi / np.sqrt(s.phi * s.phi + s.grad_sq)
     ref = max(np.abs(H_ij - (s.dphi * g_ij - u * h_ij)).max()
               for H_ij, g_ij, h_ij in zip(H, (s.g_tt, s.g_tp, s.g_pp), (s.h_tt, s.h_tp, s.h_pp)))
     assert hessian_identity_residual(m, f) == float(ref)

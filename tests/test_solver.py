@@ -131,8 +131,8 @@ def _psi_linearized_trailing_axis(state, psi):
     frame = g.unit_vectors()
     psi_rho, psi_nu = psi.partials(frame[0], state.rho, state.nu)
     p_z, p_t, p_p = ((psi_nu * e).sum(axis=-1) for e in frame)
-    phi, ft, fp = state.phi, state.jet.d_t, state.jet.d_p / g.sin_t
-    s2 = phi * phi + state.jet.grad_sq
+    phi, ft, fp = state.phi, state.d_t, state.d_p / g.sin_t
+    s2 = phi * phi + state.grad_sq
     sroot = np.sqrt(s2)
     a = (p_z * phi - p_t * ft - p_p * fp) / s2
     return [psi_rho + state.dphi * (p_z - a * phi) / sroot,
@@ -156,9 +156,8 @@ def test_component_wise_kernels_match_trailing_axis_formulas_bitwise(nt):
         assert new.tobytes() == old.tobytes()
 
     z, e_t, e_p = g.unit_vectors()
-    jet = state.jet
-    nu = (1.0 / np.sqrt(state.phi ** 2 + jet.grad_sq))[..., None] * (
-        -jet.d_t[..., None] * e_t - (jet.d_p / g.sin_t)[..., None] * e_p
+    nu = (1.0 / np.sqrt(state.phi ** 2 + state.grad_sq))[..., None] * (
+        -state.d_t[..., None] * e_t - (state.d_p / g.sin_t)[..., None] * e_p
         + state.phi[..., None] * z)
     assert state.nu.tobytes() == nu.tobytes()
 
@@ -180,7 +179,7 @@ def _sigma_linearized_table(K, state, k):
     st, ct = g.sin_t, g.cos_t
     st2 = st * st
     phi, dphi = state.phi, state.dphi
-    ft, fp, w = state.jet.d_t, state.jet.d_p, state.jet.grad_sq
+    ft, fp, w = state.d_t, state.d_p, state.grad_sq
     g_tt, g_tp, g_pp = state.g_tt, state.g_tp, state.g_pp
     h_tt, h_tp, h_pp = state.h_tt, state.h_tp, state.h_pp
     det_g = g_tt * g_pp - g_tp * g_tp
@@ -1085,6 +1084,24 @@ def test_linear_solve_residual_64x128():
     assert 0 < report.linear_iterations
 
 
+def test_linear_solve_budget_message_prints_a_plain_float(grid16, monkeypatch):
+    # the tilted target's Jacobian at a field that depends on phi, with no
+    # GMRES cycle allowed: the message carries the residual of the modes'
+    # solve as a Python float, never numpy's np.float64(...) repr
+    m = spaceform(0)
+    f = field_from_function(grid16, lambda tt, pp: 1.0 + 0.03 * np.cos(tt)
+                            + 0.02 * np.sin(tt) * np.cos(pp))
+    J = jacobian(m, f, _tilted_blend(m, 2, 1.0), 2)
+    b = np.random.default_rng(16).standard_normal(grid16.n_nodes)
+    rnorm = float(np.abs(b - J @ solver.PhiModes(J).solve(b)).max())
+    assert rnorm > solver.GMRES_RTOL * np.abs(b).max()
+    monkeypatch.setattr(solver, "GMRES_MAX_CYCLES", 0)
+    with pytest.raises(NoConvergence) as info:
+        solver._linear_solve(J, b)
+    assert str(info.value) == f"linear solve failed: residual {rnorm!r} after 0 GMRES cycles"
+    assert "np." not in str(info.value)
+
+
 @pytest.mark.parametrize("K,r_bar", [(-1, 1.0), (0, 1.0), (1, 0.8)])
 def test_ez_continuation_matches_direct_solves(K, r_bar, grid16, superlu_reference):
     # for the axis e_z the phi-averaged modes of each Jacobian are J itself:
@@ -1371,8 +1388,8 @@ def test_newton_raises_cone_breach_when_no_step_length_is_admissible(grid16, mon
     seed = constant_field(grid16, 1.3)
     _, _, margin = solver._evaluate(m, seed, psi, 2)
     monkeypatch.setattr(solver, "CONE_MARGIN", margin)
-    monkeypatch.setattr(solver, "_linear_solve",
-                        lambda J, rhs, report=None: (np.ones_like(rhs), solver.PhiModes(J)))
+    monkeypatch.setattr(solver, "_linear_solve", lambda J, rhs, report=None:
+                        (np.ones_like(rhs), solver.PhiModes(J).det_sign()))
     with pytest.raises(ConeBreach, match="no step length keeps the iterate admissible") as info:
         newton_solve(m, seed, psi, 2, TIGHT)
     assert info.value.report.iterations == 0
